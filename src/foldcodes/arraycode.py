@@ -13,11 +13,21 @@ Array code kinds:
     DBAC   de Bruijn array code        several arrays, all matrices
     SDBAC  shortened de Bruijn code    several arrays, nonzero matrices
     PRAC   pseudorandom array code     SDBAC closed under shift-and-add
+
+Closure is decided by rank: the positioned arrays P (every 2D rotation
+of every array) are closed exactly when they are distinct and P with
+the zero array is a GF(2) space, |P| + 1 = 2^rank(P) (|P| = 2^rank(P)
+when a 1x1 zero array puts zero in P). A code that fails gets the note
+"positioned arrays span at least S words, more than |P| + 1 = N: not
+closed under shift-and-add". min_distance is exact at any size for a
+closed PRA/PRAC, where it is the minimum array weight; every other code
+is scanned pairwise, up to 1024 distinct words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 KINDS = ("PM", "SPM", "PRA", "DBAC", "SDBAC", "PRAC")
 _FULL_KINDS = frozenset(("PM", "DBAC"))
@@ -145,16 +155,20 @@ def window_key(a: CyclicArray, i: int, j: int, n: int, m: int) -> int:
 def _packed_shifts(a: CyclicArray):
     """Yield the packed form of shift2d(a, dv, dh) for every (dv, dh).
 
-    Horizontal rotations are done per row once; vertical rotations are a
+    A horizontal rotation turns every row of the packed value at once,
+    with one mask for the cells that wrap; vertical rotations are a
     single big-integer rotation of the packed value.
     """
     r, t = a.rows, a.cols
     size = r * t
     full = (1 << size) - 1
+    packed = a.packed()
+    ones = full // ((1 << t) - 1)  # bit 0 of every row
     for dh in range(t):
-        base = 0
-        for i, mask in enumerate(a.rowmasks):
-            base |= _rot_row(mask, dh, t) << (i * t)
+        wrap = ((1 << dh) - 1) * ones
+        base = ((packed << dh) & (full ^ wrap)) | (
+            (packed >> (t - dh)) & wrap
+        )
         for dv in range(r):
             if dv == 0:
                 yield base, 0, dh
@@ -211,18 +225,24 @@ class VerifyReport:
         return all(parts)
 
 
+def _positioned(code: ArrayCode) -> set:
+    """The packed form of every 2D rotation of every array."""
+    return {p for a in code.arrays for p, _, _ in _packed_shifts(a)}
+
+
 def _check_closure(code: ArrayCode):
     """Shift-and-add closure over positioned codewords.
 
-    Membership up to 2D rotation is invariant under rotating both summands
-    together, so it is enough to keep the first summand at phase zero and
-    let the second range over all rotations.
+    The positioned arrays P are closed under adding two distinct members
+    exactly when P with the zero word is a GF(2) space, that is when
+    |P u {0}| = 2^rank(P) (MacWilliams & Sloane, Proc. IEEE 1976). The
+    rank is at least k = log2 |P u {0}|, since the span holds P and zero.
+    So k independent words are taken from P into a basis keyed by
+    leading bit, and their span, walked in Gray-code order, must lie in
+    P u {0}; the first span word outside P shows a rank above k.
     """
     notes = []
-    positioned = set()
-    for a in code.arrays:
-        for p, _, _ in _packed_shifts(a):
-            positioned.add(p)
+    positioned = _positioned(code)
     expect = len(code.arrays) * code.r * code.t
     if len(positioned) != expect:
         notes.append(
@@ -230,20 +250,68 @@ def _check_closure(code: ArrayCode):
             f"({len(positioned)} of {expect})"
         )
         return False, notes
-    for i, a in enumerate(code.arrays):
-        base = a.packed()
-        for j, b in enumerate(code.arrays):
-            for p, dv, dh in _packed_shifts(b):
-                if i == j and dv == 0 and dh == 0:
-                    continue
-                s = base ^ p
-                if s == 0 or s not in positioned:
-                    notes.append(
-                        f"sum of array {i} and array {j} shifted "
-                        f"({dv},{dh}) leaves the code"
-                    )
-                    return False, notes
+    size = len(positioned) + (0 not in positioned)
+    rank = size.bit_length() - 1
+    span_note = (
+        f"positioned arrays span at least {2 << rank} words, more than "
+        f"|P| + 1 = {size}: not closed under shift-and-add"
+    )
+    if size != 1 << rank:
+        notes.append(span_note)
+        return False, notes
+    basis = {}
+    words = iter(positioned)
+    while len(basis) < rank:
+        v = next(words)
+        while v:
+            top = v.bit_length()
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    gens = list(basis.values())
+    v = 0
+    for i in range(1, size):
+        v ^= gens[(i & -i).bit_length() - 1]
+        if v not in positioned:
+            notes.append(span_note)
+            return False, notes
     return True, notes
+
+
+def _window_keys(a: CyclicArray, n: int, m: int):
+    """window_key(a, i, j, n, m) for every anchor (i, j), row-major.
+
+    Each row mask is reversed (cell 0 most significant) and repeated out
+    to t + m - 1 cells once, so the m-bit slice at column j is one shift
+    and mask. The n*m-bit key of each column then rolls down the rows,
+    one slice in at the bottom and one out at the top.
+    """
+    r, t = a.rows, a.cols
+    copies = -(-(t + m - 1) // t)
+    drop = copies * t - (t + m - 1)
+    low = (1 << m) - 1
+    slices = []
+    for mask in a.rowmasks:
+        ext = int(format(mask, f"0{t}b")[::-1] * copies, 2) >> drop
+        slices.append([(ext >> s) & low for s in range(t - 1, -1, -1)])
+    full = (1 << (n * m)) - 1
+    keys = [0] * t
+    for u in range(n):
+        keys = [(k << m) | s for k, s in zip(keys, slices[u % r])]
+    for i in range(r):
+        yield from keys
+        if i + 1 < r:
+            keys = [
+                ((k << m) & full) | s
+                for k, s in zip(keys, slices[(i + n) % r])
+            ]
+
+
+def _anchor_text(anchor: int, r: int, t: int) -> str:
+    idx, cell = divmod(anchor, r * t)
+    i, j = divmod(cell, t)
+    return f"array {idx} anchor ({i},{j})"
 
 
 def verify(code: ArrayCode) -> VerifyReport:
@@ -270,22 +338,25 @@ def verify(code: ArrayCode) -> VerifyReport:
         coverage_ok = False
         notes.append("window size out of supported range")
     else:
+        # seen maps each key to the running index of its first anchor,
+        # idx*r*t + i*t + j; the anchor text is built only for a note
         seen = {}
+        first_seen = seen.setdefault
         dup_reports = 0
-        for idx, a in enumerate(code.arrays):
-            for i in range(r):
-                for j in range(t):
-                    key = window_key(a, i, j, n, m)
-                    if key in seen:
-                        coverage_ok = False
-                        if dup_reports < 5:
-                            notes.append(
-                                f"window {key:0{n * m}b} at array {idx} "
-                                f"anchor ({i},{j}) repeats {seen[key]}"
-                            )
-                        dup_reports += 1
-                    else:
-                        seen[key] = f"array {idx} anchor ({i},{j})"
+        keys = chain.from_iterable(
+            _window_keys(a, n, m) for a in code.arrays
+        )
+        for anchor, key in enumerate(keys):
+            first = first_seen(key, anchor)
+            if first != anchor:
+                coverage_ok = False
+                if dup_reports < 5:
+                    notes.append(
+                        f"window {key:0{n * m}b} at "
+                        f"{_anchor_text(anchor, r, t)} repeats "
+                        f"{_anchor_text(first, r, t)}"
+                    )
+                dup_reports += 1
         if not full and 0 in seen:
             coverage_ok = False
             notes.append("zero window present in a shortened code")
@@ -316,14 +387,20 @@ def verify(code: ArrayCode) -> VerifyReport:
 def min_distance(code: ArrayCode) -> int:
     """Minimum Hamming distance of the length r*t code whose codewords are
     all 2D rotations of all arrays, plus the zero array for shortened
-    kinds. Pairwise always; cross-checked against minimum weight when the
-    shift-and-add closure holds."""
+    kinds.
+
+    A PRA/PRAC that passes the closure check is a GF(2) space, so its
+    distance is its least nonzero weight, which is the minimum array
+    weight (rotations keep weight); that holds at any size. Every other
+    code is scanned pairwise, up to 1024 distinct words.
+    """
     if not code.arrays:
         raise ValueError("empty code")
-    words = set()
-    for a in code.arrays:
-        for p, _, _ in _packed_shifts(a):
-            words.add(p)
+    if code.kind in _LINEAR_KINDS:
+        wmin = min(a.weight() for a in code.arrays)
+        if wmin and _check_closure(code)[0]:
+            return wmin
+    words = _positioned(code)
     if code.kind not in _FULL_KINDS:
         words.add(0)
     words = sorted(words)
@@ -337,13 +414,4 @@ def min_distance(code: ArrayCode) -> int:
             d = (w ^ v).bit_count()
             if best is None or d < best:
                 best = d
-    if code.kind in _LINEAR_KINDS:
-        closed, _ = _check_closure(code)
-        if closed:
-            wmin = min(a.weight() for a in code.arrays)
-            if wmin != best:
-                raise RuntimeError(
-                    f"weight bound {wmin} disagrees with pairwise "
-                    f"distance {best}"
-                )
     return best

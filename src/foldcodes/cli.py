@@ -94,22 +94,27 @@ def _load_document(path: str) -> dict:
     return doc
 
 
-def _doc_to_code(doc: dict, kind=None, n=None, m=None) -> ArrayCode:
+def _doc_arrays(doc: dict):
+    """r, t and the member arrays of a code document. The arrays field
+    must be a list of arrays, each a list of r row strings of t binary
+    digits, and r and t must be at least 1."""
     try:
-        kind = kind or doc["kind"]
         r, t = int(doc["r"]), int(doc["t"])
-        n = int(doc["n"]) if n is None else n
-        m = int(doc["m"]) if m is None else m
         raw = doc["arrays"]
     except (KeyError, TypeError, ValueError) as exc:
         raise _CliError(f"malformed document: {exc}") from None
-    if kind not in KINDS:
+    if r < 1 or t < 1:
         raise _CliError(
-            f"kind {kind!r} is not verifiable; pass --kind with one of "
-            + ", ".join(sorted(KINDS))
+            f"malformed document: r = {r} and t = {t} must be at least 1"
         )
-    if n < 1 or m < 1:
-        raise _CliError("window size is not set; pass --n and --m")
+    if not isinstance(raw, list) or not all(
+        isinstance(rows, list) and all(isinstance(row, str) for row in rows)
+        for rows in raw
+    ):
+        raise _CliError(
+            "malformed document: arrays must be a list of lists of row "
+            "strings"
+        )
     arrays = []
     for idx, rows in enumerate(raw):
         if len(rows) != r or any(len(row) != t for row in rows):
@@ -117,10 +122,25 @@ def _doc_to_code(doc: dict, kind=None, n=None, m=None) -> ArrayCode:
         if any(ch not in "01" for row in rows for ch in row):
             raise _CliError(f"array {idx} has non-binary cells")
         arrays.append(CyclicArray(rows))
+    return r, t, arrays
+
+
+def _doc_to_code(doc: dict, kind=None, n=None, m=None) -> ArrayCode:
     try:
-        return ArrayCode(kind, r, t, n, m, tuple(arrays))
-    except ValueError as exc:
+        kind = kind or doc["kind"]
+        n = int(doc["n"]) if n is None else n
+        m = int(doc["m"]) if m is None else m
+    except (KeyError, TypeError, ValueError) as exc:
         raise _CliError(f"malformed document: {exc}") from None
+    r, t, arrays = _doc_arrays(doc)
+    if kind not in KINDS:
+        raise _CliError(
+            f"kind {kind!r} is not verifiable; pass --kind with one of "
+            + ", ".join(sorted(KINDS))
+        )
+    if n < 1 or m < 1:
+        raise _CliError("window size is not set; pass --n and --m")
+    return ArrayCode(kind, r, t, n, m, tuple(arrays))
 
 
 def _arrays_text(arrays) -> str:
@@ -162,17 +182,8 @@ def cmd_fold(args) -> int:
 
 
 def cmd_unfold(args) -> int:
-    doc = _load_document(args.input)
-    try:
-        r, t = int(doc["r"]), int(doc["t"])
-        raw = doc["arrays"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _CliError(f"malformed document: {exc}") from None
-    seqs = []
-    for idx, rows in enumerate(raw):
-        if len(rows) != r or any(len(row) != t for row in rows):
-            raise _CliError(f"array {idx} is not {r}x{t}")
-        seqs.append(unfold(CyclicArray(rows)))
+    _, _, arrays = _doc_arrays(_load_document(args.input))
+    seqs = [unfold(a) for a in arrays]
     if args.format == "json":
         payload = {"sequences": ["".join(map(str, s.bits)) for s in seqs]}
         _emit(_dump_json(payload), args.out)

@@ -421,11 +421,30 @@ def construct_db_pmc_direct(
 # ---------------------------------------------------------------------
 
 
-def _distance_or_note(code: ArrayCode):
+def _fold_family(
+    f: Gf2Poly, r: int, t: int, n: int, m: int, claimed=None, notes=()
+) -> ConstructionReport:
+    """Fold every cycle of f onto an r x t torus, hand the code to the
+    oracle and report its verdict and minimum distance. The kind is PRA
+    for a single cycle and PRAC otherwise; claimed defaults to the
+    number of cycles."""
+    fam = generate_cycles(f)
+    arrays = tuple(fold(s, r, t) for s in fam.members)
+    kind = "PRA" if len(arrays) == 1 else "PRAC"
+    code = ArrayCode(kind, r, t, n, m, arrays)
+    rep = verify(code)
     try:
-        return min_distance(code), ()
+        dist, extra = min_distance(code), ()
     except ValueError as exc:
-        return None, (f"min distance skipped: {exc}",)
+        dist, extra = None, (f"min distance skipped: {exc}",)
+    return ConstructionReport(
+        parameters=(r, t, n, m),
+        claimed_size=len(arrays) if claimed is None else claimed,
+        produced=code,
+        verified=rep.ok,
+        notes=tuple(notes) + rep.notes + extra,
+        min_distance=dist,
+    )
 
 
 def construct_prac_fold(f: Gf2Poly, n: int, m: int) -> ConstructionReport:
@@ -465,19 +484,7 @@ def construct_prac_fold(f: Gf2Poly, n: int, m: int) -> ConstructionReport:
                 "nonempty subset sum of the x^p, so coverage fails",
             ),
         )
-    fam = generate_cycles(f)
-    arrays = tuple(fold(s, r, ell) for s in fam.members)
-    code = ArrayCode(kind, r, ell, n, m, arrays)
-    rep = verify(code)
-    dist, extra = _distance_or_note(code)
-    return ConstructionReport(
-        parameters=(r, ell, n, m),
-        claimed_size=k,
-        produced=code,
-        verified=rep.ok,
-        notes=rep.notes + extra,
-        min_distance=dist,
-    )
+    return _fold_family(f, r, ell, n, m, claimed=k)
 
 
 def experiment_product_fold(
@@ -507,20 +514,7 @@ def experiment_product_fold(
         raise PreconditionError(
             f"need coprime r*t = {e}, got {r}x{t}"
         )
-    fam = generate_cycles(mul(f, g))
-    arrays = tuple(fold(s, r, t) for s in fam.members)
-    kind = "PRA" if len(arrays) == 1 else "PRAC"
-    code = ArrayCode(kind, r, t, n, m, arrays)
-    rep = verify(code)
-    dist, extra = _distance_or_note(code)
-    return ConstructionReport(
-        parameters=(r, t, n, m),
-        claimed_size=len(arrays),
-        produced=code,
-        verified=rep.ok,
-        notes=rep.notes + extra,
-        min_distance=dist,
-    )
+    return _fold_family(mul(f, g), r, t, n, m)
 
 
 def experiment_exponent_family(
@@ -533,22 +527,7 @@ def experiment_exponent_family(
         raise PreconditionError(f"n*m = {n * m} does not equal {deg}")
     if r * t != e or gcd(r, t) != 1:
         raise PreconditionError(f"need coprime r*t = {e}, got {r}x{t}")
-    reports = []
-    for f in enumerate_irreducible(deg, e):
-        fam = generate_cycles(f)
-        arrays = tuple(fold(s, r, t) for s in fam.members)
-        kind = "PRA" if len(arrays) == 1 else "PRAC"
-        code = ArrayCode(kind, r, t, n, m, arrays)
-        rep = verify(code)
-        dist, extra = _distance_or_note(code)
-        reports.append(
-            ConstructionReport(
-                parameters=(r, t, n, m),
-                claimed_size=len(arrays),
-                produced=code,
-                verified=rep.ok,
-                notes=(f"poly {f}",) + rep.notes + extra,
-                min_distance=dist,
-            )
-        )
-    return reports
+    return [
+        _fold_family(f, r, t, n, m, notes=(f"poly {f}",))
+        for f in enumerate_irreducible(deg, e)
+    ]

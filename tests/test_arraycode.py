@@ -2,18 +2,24 @@
 
 Oracles: naive index-arithmetic implementations of shift, window and the
 shift-and-add closure quantifier (all ordered pairs of positioned
-codewords, membership up to rotation).
+codewords, membership up to rotation), plus the pairwise closure scan and
+pairwise minimum distance that the rank closure and the minimum-weight
+distance replaced.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldcodes.arraycode import (
     ArrayCode,
     CyclicArray,
     VerifyReport,
     _check_closure,
+    _packed_shifts,
+    _window_keys,
     add2d,
     canonical2d,
     min_distance,
@@ -22,6 +28,13 @@ from foldcodes.arraycode import (
     window,
     window_key,
 )
+from foldcodes.constructions import (
+    PreconditionError,
+    construct_prac_fold,
+    experiment_exponent_family,
+    experiment_product_fold,
+)
+from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible
 
 FOLDPR = CyclicArray(["01010", "10001", "11011"])
 FOLDPM_MID = CyclicArray(["11110", "10010", "01100"])
@@ -71,6 +84,58 @@ def closure_oracle(code):
             if s.packed() == 0 or canonical2d(s) not in canon:
                 return False
     return True
+
+
+def _rotations(a):
+    """Packed forms of every 2D rotation of a."""
+    return [
+        shift2d(a, dv, dh).packed()
+        for dv in range(a.rows)
+        for dh in range(a.cols)
+    ]
+
+
+def pairwise_closure(code):
+    """The pairwise closure scan: positioned arrays must be distinct, and
+    each array at phase zero plus every other positioned array must give
+    a nonzero positioned array."""
+    rotations = [_rotations(a) for a in code.arrays]
+    positioned = {p for rots in rotations for p in rots}
+    if len(positioned) != len(code.arrays) * code.r * code.t:
+        return False
+    for i, a in enumerate(code.arrays):
+        base = a.packed()
+        for j, rots in enumerate(rotations):
+            for p in rots:
+                if i == j and p == base:
+                    continue
+                s = base ^ p
+                if s == 0 or s not in positioned:
+                    return False
+    return True
+
+
+def pairwise_distance(code):
+    """Minimum distance over every pair of distinct codewords (all
+    rotations of all arrays, plus zero for shortened kinds), up to 1024
+    words."""
+    if not code.arrays:
+        raise ValueError("empty code")
+    words = set()
+    for a in code.arrays:
+        words.update(_rotations(a))
+    if code.kind not in ("PM", "DBAC"):
+        words.add(0)
+    words = sorted(words)
+    if len(words) < 2:
+        raise ValueError("code has fewer than two distinct codewords")
+    if len(words) > 1024:
+        raise ValueError("code too large for pairwise distance")
+    return min(
+        (w ^ v).bit_count()
+        for i, w in enumerate(words)
+        for v in words[i + 1 :]
+    )
 
 
 def random_array(rng, r, t):
@@ -170,6 +235,17 @@ def test_window_matches_oracle_and_key_packing():
             for bit in row:
                 key = (key << 1) | bit
         assert key == window_key(a, i, j, n, m)
+
+
+def test_packed_shifts_match_shift_oracle():
+    rng = random.Random(29)
+    for _ in range(40):
+        a = random_array(rng, rng.randrange(1, 7), rng.randrange(1, 8))
+        assert list(_packed_shifts(a)) == [
+            (shift_oracle(a, dv, dh).packed(), dv, dh)
+            for dh in range(a.cols)
+            for dv in range(a.rows)
+        ]
 
 
 def test_canonical2d_is_least_shift():
@@ -297,3 +373,131 @@ def test_report_verdict_logic():
     assert rep.ok
     rep = VerifyReport("PRA", True, True, True, False)
     assert not rep.ok
+
+
+# ----------------------------------------- fast oracles vs pairwise scans
+
+
+def _folded_codes():
+    """Every folded code construct_prac_fold makes through degree 8, plus
+    the codes of the exponent-family and product-fold experiments."""
+    codes = []
+    for deg in range(2, 9):
+        for f in enumerate_irreducible(deg):
+            for n in range(1, deg + 1):
+                if deg % n:
+                    continue
+                try:
+                    rep = construct_prac_fold(f, n, deg // n)
+                except PreconditionError:
+                    continue
+                codes.append(rep.produced)
+    for deg, e, r, t, n, m in (
+        (4, 15, 3, 5, 2, 2),
+        (6, 21, 3, 7, 2, 3),
+        (6, 63, 7, 9, 3, 2),
+        (8, 17, 1, 17, 2, 4),
+        (8, 51, 3, 17, 2, 4),
+        (8, 85, 5, 17, 4, 2),
+    ):
+        codes += [
+            rep.produced
+            for rep in experiment_exponent_family(deg, e, r, t, n, m)
+        ]
+    f, g = Gf2Poly.parse("x^4+x+1"), Gf2Poly.parse("x^4+x^3+1")
+    for r, t, n, m in ((3, 5, 2, 4), (5, 3, 4, 2), (15, 1, 4, 2)):
+        codes.append(experiment_product_fold(f, g, r, t, n, m).produced)
+    f, g = Gf2Poly.parse("x^3+x+1"), Gf2Poly.parse("x^3+x^2+1")
+    codes.append(experiment_product_fold(f, g, 1, 7, 2, 3).produced)
+    return [code for code in codes if code.arrays]
+
+
+FOLDED = _folded_codes()
+
+
+def _perturb(code, how, k, i, j):
+    """code with one change to its array list: a cell of array k flipped,
+    array k dropped or duplicated, or a rotation of array k added."""
+    arrays = list(code.arrays)
+    k %= len(arrays)
+    if how == "flip":
+        a = arrays[k]
+        rows = list(a.rowmasks)
+        rows[i % a.rows] ^= 1 << (j % a.cols)
+        arrays[k] = CyclicArray.from_rowmasks(rows, a.cols)
+    elif how == "drop":
+        del arrays[k]
+    elif how == "duplicate":
+        arrays.append(arrays[k])
+    elif how == "rotate":
+        arrays.append(shift2d(arrays[k], i, j))
+    return ArrayCode(code.kind, code.r, code.t, code.n, code.m, arrays)
+
+
+def _assert_matches_pairwise(code):
+    closed, notes = _check_closure(code)
+    assert closed is pairwise_closure(code)
+    if not closed:
+        assert len(notes) == 1
+    try:
+        expected = pairwise_distance(code)
+    except ValueError:
+        with pytest.raises(ValueError):
+            min_distance(code)
+    else:
+        assert min_distance(code) == expected
+
+
+def test_folded_codes_match_pairwise_oracles():
+    assert len(FOLDED) > 100
+    assert {code.kind for code in FOLDED} == {"PRA", "PRAC"}
+    assert all(
+        len(code.arrays) * code.r * code.t <= 255 for code in FOLDED
+    )
+    for code in FOLDED:
+        assert _check_closure(code) == (True, [])
+        _assert_matches_pairwise(code)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    index=st.integers(0, len(FOLDED) - 1),
+    how=st.sampled_from(("flip", "drop", "duplicate", "rotate")),
+    k=st.integers(0, 1 << 16),
+    i=st.integers(0, 1 << 16),
+    j=st.integers(0, 1 << 16),
+)
+def test_perturbed_folded_codes_match_pairwise_oracles(index, how, k, i, j):
+    _assert_matches_pairwise(_perturb(FOLDED[index], how, k, i, j))
+
+
+@pytest.mark.parametrize("cells", [["0"], ["1"], ["0", "1"]])
+def test_one_by_one_closure_matches_pairwise(cells):
+    arrays = tuple(CyclicArray([c]) for c in cells)
+    kind = "PRA" if len(arrays) == 1 else "PRAC"
+    code = ArrayCode(kind, 1, 1, 1, 1, arrays)
+    _assert_matches_pairwise(code)
+
+
+def test_closure_failure_note_states_span_size():
+    dropped = ArrayCode("PRAC", 3, 7, 2, 3, PRAC37[1:])
+    assert _check_closure(dropped) == (
+        False,
+        [
+            "positioned arrays span at least 64 words, more than "
+            "|P| + 1 = 43: not closed under shift-and-add"
+        ],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_window_keys_match_window_key_in_anchor_order(data):
+    r, t = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
+    n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 9))
+    row = st.integers(0, (1 << t) - 1)
+    masks = data.draw(st.lists(row, min_size=r, max_size=r))
+    a = CyclicArray.from_rowmasks(masks, t)
+    assert list(_window_keys(a, n, m)) == [
+        window_key(a, i, j, n, m) for i in range(r) for j in range(t)
+    ]

@@ -197,6 +197,30 @@ def test_verify_malformed_documents(tmp_path, capsys):
     assert "not 3x5" in capsys.readouterr().err
 
 
+_ONE_BY_ONE = {"kind": "PRA", "r": 1, "t": 1, "n": 1, "m": 1, "meta": {}}
+
+
+@pytest.mark.parametrize("command", ["verify", "unfold"])
+@pytest.mark.parametrize(
+    "arrays",
+    [5, [7], [[5]]],
+    ids=["arrays-not-a-list", "array-not-a-list", "row-not-a-string"],
+)
+def test_mistyped_arrays_are_malformed(tmp_path, capsys, command, arrays):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(_ONE_BY_ONE, arrays=arrays)))
+    assert run([command, "--input", str(bad)]) == 2
+    assert "malformed document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["r", "t"])
+def test_verify_rejects_dimension_below_one(tmp_path, capsys, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(_ONE_BY_ONE, arrays=[["1"]], **{field: 0})))
+    assert run(["verify", "--input", str(bad)]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_construct_pf(capsys):
     assert run(["construct", "pf", "--n", "3", "--k", "2"]) == 0
     out = capsys.readouterr().out

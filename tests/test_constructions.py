@@ -493,6 +493,16 @@ def test_prac_fold_all_small_cases_verify():
     assert checked >= 10
 
 
+def test_prac_fold_distance_above_pairwise_cap():
+    """A closed PRAC of 4095 words, above the 1024-word pairwise cap,
+    still gets its minimum distance: the minimum array weight."""
+    rep = construct_prac_fold(Gf2Poly.parse("x^12+x^5+x^4+x^3+x^2+x+1"), 2, 6)
+    assert rep.verified and rep.produced.kind == "PRAC"
+    assert len(rep.produced.arrays) * 3 * 455 == 4095
+    assert rep.min_distance == min(a.weight() for a in rep.produced.arrays)
+    assert not any("min distance skipped" in note for note in rep.notes)
+
+
 # ---------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------
