@@ -32,6 +32,8 @@ from itertools import chain
 KINDS = ("PM", "SPM", "PRA", "DBAC", "SDBAC", "PRAC")
 _FULL_KINDS = frozenset(("PM", "DBAC"))
 _LINEAR_KINDS = frozenset(("PRA", "PRAC"))
+_DIGITS = frozenset("01")
+_MAX_WINDOW = 32  # largest n*m whose windows verify enumerates
 
 
 class CyclicArray:
@@ -43,19 +45,24 @@ class CyclicArray:
         masks = []
         width = None
         for row in rows:
-            if isinstance(row, str):
-                row = [int(c) for c in row]
-            else:
-                row = list(row)
+            digits = isinstance(row, str) and _DIGITS.issuperset(row)
+            if not digits:
+                if isinstance(row, str):
+                    row = [int(c) for c in row]
+                else:
+                    row = list(row)
             if width is None:
                 width = len(row)
             elif len(row) != width:
                 raise ValueError("ragged rows")
-            mask = 0
-            for j, bit in enumerate(row):
-                if bit not in (0, 1):
-                    raise ValueError(f"cell value {bit!r} is not a bit")
-                mask |= bit << j
+            if digits:
+                mask = int(row[::-1], 2) if row else 0
+            else:
+                mask = 0
+                for j, bit in enumerate(row):
+                    if bit not in (0, 1):
+                        raise ValueError(f"cell value {bit!r} is not a bit")
+                    mask |= bit << j
             masks.append(mask)
         if not masks or not width:
             raise ValueError("array must have at least one row and column")
@@ -89,10 +96,9 @@ class CyclicArray:
         return sum(m.bit_count() for m in self.rowmasks)
 
     def row_strings(self):
-        t = self.cols
-        return [
-            "".join(str((m >> j) & 1) for j in range(t)) for m in self.rowmasks
-        ]
+        """Each row as a string of t binary digits, column 0 first."""
+        fmt = f"0{self.cols}b"
+        return [format(m, fmt)[::-1] for m in self.rowmasks]
 
     def __eq__(self, other):
         if not isinstance(other, CyclicArray):
@@ -231,6 +237,18 @@ def _positioned(code: ArrayCode) -> set:
 
 
 def _check_closure(code: ArrayCode):
+    """(closed, notes) for the code, decided once per ArrayCode instance:
+    the frozen instance keeps its verdict, so verify and min_distance on
+    one code share a single check."""
+    verdict = code.__dict__.get("_closure")
+    if verdict is None:
+        verdict = _closure_verdict(code)
+        object.__setattr__(code, "_closure", verdict)
+    closed, notes = verdict
+    return closed, list(notes)
+
+
+def _closure_verdict(code: ArrayCode):
     """Shift-and-add closure over positioned codewords.
 
     The positioned arrays P are closed under adding two distinct members
@@ -241,15 +259,13 @@ def _check_closure(code: ArrayCode):
     leading bit, and their span, walked in Gray-code order, must lie in
     P u {0}; the first span word outside P shows a rank above k.
     """
-    notes = []
     positioned = _positioned(code)
     expect = len(code.arrays) * code.r * code.t
     if len(positioned) != expect:
-        notes.append(
+        return False, (
             f"positioned arrays are not distinct "
-            f"({len(positioned)} of {expect})"
+            f"({len(positioned)} of {expect})",
         )
-        return False, notes
     size = len(positioned) + (0 not in positioned)
     rank = size.bit_length() - 1
     span_note = (
@@ -257,8 +273,7 @@ def _check_closure(code: ArrayCode):
         f"|P| + 1 = {size}: not closed under shift-and-add"
     )
     if size != 1 << rank:
-        notes.append(span_note)
-        return False, notes
+        return False, (span_note,)
     basis = {}
     words = iter(positioned)
     while len(basis) < rank:
@@ -274,9 +289,8 @@ def _check_closure(code: ArrayCode):
     for i in range(1, size):
         v ^= gens[(i & -i).bit_length() - 1]
         if v not in positioned:
-            notes.append(span_note)
-            return False, notes
-    return True, notes
+            return False, (span_note,)
+    return True, ()
 
 
 def _window_keys(a: CyclicArray, n: int, m: int):
@@ -320,11 +334,16 @@ def verify(code: ArrayCode) -> VerifyReport:
     r, t, n, m = code.r, code.t, code.n, code.m
     notes = []
     full = code.kind in _FULL_KINDS
-    space = 1 << (n * m) if n >= 1 and m >= 1 else 0
-    want = space if full else space - 1
-    counting_ok = (
-        n >= 1 and m >= 1 and len(code.arrays) * r * t == want
-    )
+    # 2^(n*m) is formed only for a window within the cap.  A larger one
+    # would need at least 2^33 - 1 cells to pass the count.
+    in_range = n >= 1 and m >= 1 and n * m <= _MAX_WINDOW
+    if in_range:
+        space = 1 << (n * m)
+        want = space if full else space - 1
+        counting_ok = len(code.arrays) * r * t == want
+    else:
+        want = f"2^{n * m}" if full else f"2^{n * m} - 1"
+        counting_ok = False
     if not counting_ok:
         notes.append(
             f"counting: {len(code.arrays)} arrays x {r}x{t} cells != {want}"
@@ -334,7 +353,7 @@ def verify(code: ArrayCode) -> VerifyReport:
         notes.append(f"dimension conditions fail for {r}x{t} vs {n}x{m}")
 
     coverage_ok = True
-    if n < 1 or m < 1 or n * m > 32:
+    if not in_range:
         coverage_ok = False
         notes.append("window size out of supported range")
     else:
@@ -360,11 +379,10 @@ def verify(code: ArrayCode) -> VerifyReport:
         if not full and 0 in seen:
             coverage_ok = False
             notes.append("zero window present in a shortened code")
-        need = space if full else space - 1
         have = len(seen) - (1 if (not full and 0 in seen) else 0)
-        if have != need:
+        if have != want:
             coverage_ok = False
-            notes.append(f"coverage: {have} distinct windows, need {need}")
+            notes.append(f"coverage: {have} distinct windows, need {want}")
 
     closure_ok = None
     if code.kind in _LINEAR_KINDS:

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .arraycode import KINDS, ArrayCode, CyclicArray, verify
+from .arraycode import _DIGITS, KINDS, ArrayCode, CyclicArray, verify
 from .constructions import (
     NonexistenceError,
     PreconditionError,
@@ -41,6 +41,9 @@ from .gf2poly import (
     is_primitive,
 )
 from .lfsr import generate_cycles, verify_perfect_factor
+
+
+_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class _CliError(Exception):
@@ -94,14 +97,24 @@ def _load_document(path: str) -> dict:
     return doc
 
 
+def _doc_int(doc: dict, name: str) -> int:
+    """A numeric field of a code document; it must be a JSON integer."""
+    value = doc[name]
+    if type(value) is not int:
+        raise _CliError(
+            f"malformed document: {name} = {value!r} is not an integer"
+        )
+    return value
+
+
 def _doc_arrays(doc: dict):
     """r, t and the member arrays of a code document. The arrays field
     must be a list of arrays, each a list of r row strings of t binary
-    digits, and r and t must be at least 1."""
+    digits, and r and t must be integers of at least 1."""
     try:
-        r, t = int(doc["r"]), int(doc["t"])
+        r, t = _doc_int(doc, "r"), _doc_int(doc, "t")
         raw = doc["arrays"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise _CliError(f"malformed document: {exc}") from None
     if r < 1 or t < 1:
         raise _CliError(
@@ -119,7 +132,7 @@ def _doc_arrays(doc: dict):
     for idx, rows in enumerate(raw):
         if len(rows) != r or any(len(row) != t for row in rows):
             raise _CliError(f"array {idx} is not {r}x{t}")
-        if any(ch not in "01" for row in rows for ch in row):
+        if not all(_DIGITS.issuperset(row) for row in rows):
             raise _CliError(f"array {idx} has non-binary cells")
         arrays.append(CyclicArray(rows))
     return r, t, arrays
@@ -128,9 +141,9 @@ def _doc_arrays(doc: dict):
 def _doc_to_code(doc: dict, kind=None, n=None, m=None) -> ArrayCode:
     try:
         kind = kind or doc["kind"]
-        n = int(doc["n"]) if n is None else n
-        m = int(doc["m"]) if m is None else m
-    except (KeyError, TypeError, ValueError) as exc:
+        n = _doc_int(doc, "n") if n is None else n
+        m = _doc_int(doc, "m") if m is None else m
+    except KeyError as exc:
         raise _CliError(f"malformed document: {exc}") from None
     r, t, arrays = _doc_arrays(doc)
     if kind not in KINDS:
@@ -141,6 +154,10 @@ def _doc_to_code(doc: dict, kind=None, n=None, m=None) -> ArrayCode:
     if n < 1 or m < 1:
         raise _CliError("window size is not set; pass --n and --m")
     return ArrayCode(kind, r, t, n, m, tuple(arrays))
+
+
+def _bits_text(seq) -> str:
+    return bytes(seq.bits).translate(_TO_TEXT).decode()
 
 
 def _arrays_text(arrays) -> str:
@@ -183,13 +200,11 @@ def cmd_fold(args) -> int:
 
 def cmd_unfold(args) -> int:
     _, _, arrays = _doc_arrays(_load_document(args.input))
-    seqs = [unfold(a) for a in arrays]
+    texts = [_bits_text(unfold(a)) for a in arrays]
     if args.format == "json":
-        payload = {"sequences": ["".join(map(str, s.bits)) for s in seqs]}
-        _emit(_dump_json(payload), args.out)
+        _emit(_dump_json({"sequences": texts}), args.out)
     else:
-        lines = "".join("".join(map(str, s.bits)) + "\n" for s in seqs)
-        _emit(lines, args.out)
+        _emit("".join(text + "\n" for text in texts), args.out)
     return 0
 
 
@@ -280,7 +295,7 @@ def cmd_construct(args) -> int:
             "kind": "PF",
             "n": pf.order,
             "k": pf.subdegree,
-            "cycles": ["".join(map(str, c.bits)) for c in pf.cycles],
+            "cycles": [_bits_text(c) for c in pf.cycles],
             "meta": {"construction": "pf", "verified": ok},
         }
         if args.format == "json":

@@ -14,7 +14,7 @@ from math import gcd
 
 from .arraycode import CyclicArray
 from .gf2poly import Gf2Poly, is_irreducible, mul, pow_x_mod
-from .lfsr import CyclicSequence
+from .lfsr import CyclicSequence, _minimal_period
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,17 @@ class FoldingMap:
         return self.r * self.t
 
 
+_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_TEXT = bytes.maketrans(b"01", b"\x00\x01")
+
+# Row i of the folded array holds the positions p = i + kr, k < t, in
+# cell (i, (i + kr) mod t).  Turned left by i, that row is the gather
+# row'[kr mod t] = seq[i + kr], the same column order for every row.
+# Read as t chunks of r positions, chunk k of the sequence is column k
+# of the gathers, so the gather is one reorder of whole chunks and the
+# rows are strided slices: no per-cell work.
+
+
 def fold(s: CyclicSequence, r: int, t: int) -> CyclicArray:
     """Write s down the diagonals of an r x t array.
 
@@ -45,11 +56,19 @@ def fold(s: CyclicSequence, r: int, t: int) -> CyclicArray:
     L = len(s)
     if fm.size % L != 0:
         raise ValueError(f"period {L} does not divide {r}x{t}")
-    rows = [0] * r
-    bits = s.bits
-    for p in range(fm.size):
-        if bits[p % L]:
-            rows[p % r] |= 1 << (p % t)
+    text = bytes(s.bits).translate(_TO_TEXT) * (fm.size // L)
+    rinv = pow(r, -1, t)
+    # columns last to first, so each row comes out reversed (column 0
+    # least significant) and turning it back by i is a left rotation
+    turned = b"".join(
+        text[q * r : q * r + r]
+        for q in (j * rinv % t for j in range(t - 1, -1, -1))
+    )
+    rows = []
+    for i in range(r):
+        row = turned[i::r]
+        c = i % t
+        rows.append(int(row[c:] + row[:c], 2))
     return CyclicArray.from_rowmasks(rows, t)
 
 
@@ -57,7 +76,12 @@ def unfold(a: CyclicArray) -> CyclicSequence:
     """The unique sequence folding to a; inverse of fold."""
     r, t = a.rows, a.cols
     FoldingMap(r, t)
-    return CyclicSequence([a.cell(p, p) for p in range(r * t)])
+    turned = "".join(
+        row[i % t :] + row[: i % t] for i, row in enumerate(a.row_strings())
+    )
+    text = "".join(turned[q * r % t :: t] for q in range(t))
+    bits = text.encode().translate(_FROM_TEXT)
+    return CyclicSequence._known(tuple(bits[: _minimal_period(bits)]))
 
 
 def window_positions(r: int, t: int, n: int, m: int) -> frozenset:

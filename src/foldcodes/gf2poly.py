@@ -9,6 +9,7 @@ between threads.
 from __future__ import annotations
 
 import warnings
+from itertools import compress
 
 __all__ = [
     "Gf2Poly",
@@ -116,18 +117,24 @@ def _mod(a: int, m: int) -> int:
     return a
 
 
-def _mulmod(a: int, b: int, m: int) -> int:
-    # Product of residues a, b modulo m; both inputs already reduced.
-    out = 0
-    top = m.bit_length()
-    while b:
-        if b & 1:
-            out ^= a
-        b >>= 1
-        a <<= 1
-        if a.bit_length() == top:
-            a ^= m
-    return out
+def _sqmod(a: int, m: int) -> int:
+    # Square of a residue: over GF(2) squaring spreads the bits apart
+    # (bit i moves to 2i), which reading the binary digits in base 4 does.
+    return _mod(int(bin(a)[2:], 4), m)
+
+
+def _pow_x(e: int, m: int) -> int:
+    # x^e modulo m (degree >= 1), left to right: square, then multiply by
+    # x (a shift and at most one reduction) for every set bit of e.
+    top = 1 << (m.bit_length() - 1)
+    r = 1
+    for bit in bin(e)[2:]:
+        r = _sqmod(r, m)
+        if bit == "1":
+            r <<= 1
+            if r & top:
+                r ^= m
+    return r
 
 
 def _gcd(a: int, b: int) -> int:
@@ -149,39 +156,17 @@ def _prime_factors(n: int) -> list:
     return out
 
 
-def _divisors(n: int) -> list:
-    fac = {}
-    x, d = n, 2
-    while d * d <= x:
-        while x % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            x //= d
-        d += 1
-    if x > 1:
-        fac[x] = fac.get(x, 0) + 1
-    divs = [1]
-    for p, a in fac.items():
-        divs = [q * p**i for q in divs for i in range(a + 1)]
-    return sorted(divs)
-
-
 def pow_x_mod(e: int, f: Gf2Poly) -> Gf2Poly:
     """x^e reduced modulo f, by square and multiply.
 
-    Runs in O(log e) modular reductions.
+    Runs in O(log e) modular squarings.
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
     m = f.mask
     if m == 0 or m.bit_length() < 2:
         raise ValueError("modulus must have degree at least 1")
-    result, base = 1, _mod(2, m)
-    while e:
-        if e & 1:
-            result = _mulmod(result, base, m)
-        base = _mulmod(base, base, m)
-        e >>= 1
-    return Gf2Poly(result)
+    return Gf2Poly(_pow_x(e, m))
 
 
 def is_irreducible(f: Gf2Poly) -> bool:
@@ -199,7 +184,7 @@ def is_irreducible(f: Gf2Poly) -> bool:
     powers = {}
     r = 2  # x, already reduced since deg f >= 2
     for j in range(1, n + 1):
-        r = _mulmod(r, r, m)
+        r = _sqmod(r, m)
         powers[j] = r
     if powers[n] != 2:
         return False
@@ -212,25 +197,29 @@ def is_irreducible(f: Gf2Poly) -> bool:
 def exponent(f: Gf2Poly) -> int:
     """Smallest k >= 1 with x^k = 1 modulo f.
 
-    For irreducible f the order divides 2^deg(f) - 1 and the divisors are
-    tested in ascending order.  Any other f with nonzero constant term is
-    accepted too; its order is found by an incremental scan, and is below
-    2^deg(f) because x is a unit modulo f.
+    For irreducible f the order divides N = 2^deg(f) - 1, so it is N with
+    every prime p removed for as long as x^(order/p) = 1 still holds
+    (Lidl & Niederreiter, Finite Fields, 3.1).  Any other f with nonzero
+    constant term is accepted too; its order is found by an incremental
+    scan, and is below 2^deg(f) because x is a unit modulo f.
     """
     if f.mask == 0 or f.degree == 0:
         raise ValueError("exponent is undefined for constant polynomials")
     if not (f.mask & 1):
         raise ValueError("no exponent exists: the constant term of f is zero")
     n = f.degree
-    if is_irreducible(f):
-        for d in _divisors((1 << n) - 1):
-            if pow_x_mod(d, f).mask == 1:
-                return d
-        raise RuntimeError("order of x must divide 2^deg-1 for irreducible f")
     m = f.mask
+    if is_irreducible(f):
+        order = (1 << n) - 1
+        for p in _prime_factors(order):
+            while order % p == 0 and _pow_x(order // p, m) == 1:
+                order //= p
+        return order
     r, k, cap = _mod(2, m), 1, 1 << n
     while r != 1:
-        r = _mulmod(r, 2, m)
+        r <<= 1
+        if r & cap:
+            r ^= m
         k += 1
         if k > cap:
             raise RuntimeError("order scan exceeded the 2^deg bound")
@@ -254,7 +243,9 @@ def is_primitive(f: Gf2Poly) -> bool:
 def enumerate_irreducible(n: int, e: int | None = None) -> list:
     """All irreducible polynomials of degree n, in ascending mask order.
 
-    When e is given, the list is filtered to polynomials of exponent e.
+    The list comes from a sieve (see _irreducible_masks).  When e is
+    given, it is filtered to polynomials of exponent e: those with
+    x^e = 1 and x^(e/p) != 1 for every prime p dividing e.
     If e does not divide 2^n - 1 no such polynomial exists: the result is
     empty and a warning explains why.
     """
@@ -270,22 +261,51 @@ def enumerate_irreducible(n: int, e: int | None = None) -> list:
                 stacklevel=2,
             )
             return []
-    out = []
-    for mask in range(1 << n, 1 << (n + 1)):
-        if n >= 2 and not (mask & 1):
-            continue  # divisible by x
-        if n >= 2 and mask.bit_count() % 2 == 0:
-            continue  # has root 1, divisible by x+1
-        f = Gf2Poly(mask)
-        if not is_irreducible(f):
-            continue
-        if e is not None:
-            if not (mask & 1):
-                continue  # f = x has no exponent
-            if exponent(f) != e:
-                continue
-        out.append(f)
-    return out
+    masks = _irreducible_masks(n)
+    if e is not None:
+        primes = _prime_factors(e)
+        masks = [
+            mask
+            for mask in masks
+            if mask & 1  # f = x has no exponent
+            and _pow_x(e, mask) == 1
+            and all(_pow_x(e // p, mask) != 1 for p in primes)
+        ]
+    return [Gf2Poly(mask) for mask in masks]
+
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _irreducible_masks(n: int) -> list:
+    """Masks of the irreducible polynomials of degree n, ascending, by the
+    GF(2)[x] sieve of Eratosthenes.
+
+    table[mask] marks a reducible mask.  Multiples of x (even masks) and
+    of x + 1 (masks of even weight) are marked up front; every other
+    reducible f of degree n is g*h with g irreducible of degree d, where
+    2 <= d <= n/2, and h of degree n - d with constant term 1.  The
+    multiples of each g are walked in Gray-code order of the middle bits
+    of h, so each costs one XOR.  The table holds 2^(n+1) bytes.
+    """
+    if n == 1:
+        return [0b10, 0b11]
+    size = 1 << (n + 1)
+    table = bytearray(b"\x01")  # table[v] = 1 iff v has even weight
+    while len(table) < size:
+        table += table.translate(_FLIP)
+    table[::2] = b"\x01" * (size >> 1)
+    for d in range(2, n // 2 + 1):
+        k = n - d - 1  # free middle bits of h
+        for g in _irreducible_masks(d):
+            steps = [g << (b + 1) for b in range(k)]
+            v = (g << (n - d)) ^ g
+            table[v] = 1
+            for i in range(1, 1 << k):
+                v ^= steps[(i & -i).bit_length() - 1]
+                table[v] = 1
+    low = 1 << n
+    return list(compress(range(low, size), table[low:].translate(_FLIP)))
 
 
 def euler_phi(k: int) -> int:

@@ -2,15 +2,16 @@
 
 A register with characteristic polynomial f(x) = x^n + sum c_i x^{n-i}
 runs the recursion a_k = sum_{i=1}^n c_i a_{k-i}.  Its state holds n
-consecutive sequence bits with the oldest in bit 0, so stepping shifts
-the state right and feeds the tap parity into bit n-1.
+consecutive sequence bits with the oldest as the most significant bit,
+so the state read as an integer is its n-window read as a binary number,
+and stepping shifts the state left and feeds the tap parity into bit 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2poly import Gf2Poly, exponent, is_irreducible, is_primitive
+from .gf2poly import Gf2Poly, _prime_factors, exponent, is_irreducible
 
 __all__ = [
     "CyclicSequence",
@@ -34,13 +35,14 @@ __all__ = [
 
 
 def _minimal_period(bits: tuple) -> int:
-    n = len(bits)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if bits[:d] * (n // d) == bits:
-            return d
-    return n
+    # The periods of a cyclic sequence that divide its length n are the
+    # multiples of the minimal one, so d/p is tested for each prime p | n,
+    # starting from d = n, and p divided out while d/p is still a period.
+    n = d = len(bits)
+    for p in _prime_factors(n):
+        while d % p == 0 and bits[: d // p] * (n * p // d) == bits:
+            d //= p
+    return d
 
 
 def _least_rotation(s: tuple) -> int:
@@ -65,6 +67,9 @@ def _least_rotation(s: tuple) -> int:
     return k
 
 
+_BITS = frozenset((0, 1))
+
+
 class CyclicSequence:
     """One periodic binary sequence, stored at its minimal period.
 
@@ -77,13 +82,23 @@ class CyclicSequence:
     __slots__ = ("bits", "_canon")
 
     def __init__(self, bits):
-        bits = tuple(int(b) for b in bits)
+        bits = tuple(map(int, bits))
         if not bits:
             raise ValueError("a cyclic sequence needs at least one bit")
-        if any(b >> 1 for b in bits):
+        if not _BITS.issuperset(bits):
             raise ValueError("bits must be 0 or 1")
         self.bits = bits[: _minimal_period(bits)]
         self._canon = None
+
+    @classmethod
+    def _known(cls, bits: tuple, canonical: bool = False):
+        # Internal: bits are 0/1 ints already at their minimal period
+        # (and at their least rotation when canonical), so nothing is
+        # validated or recomputed.
+        obj = object.__new__(cls)
+        obj.bits = bits
+        obj._canon = bits if canonical else None
+        return obj
 
     @property
     def canonical_bits(self) -> tuple:
@@ -94,7 +109,7 @@ class CyclicSequence:
 
     def canonical(self) -> "CyclicSequence":
         """This sequence rotated to its lexicographically least phase."""
-        return CyclicSequence(self.canonical_bits)
+        return CyclicSequence._known(self.canonical_bits, canonical=True)
 
     @property
     def weight(self) -> int:
@@ -161,6 +176,11 @@ def generate_cycles(f: Gf2Poly) -> SequenceFamily:
 
     Members are returned in canonical phase, sorted.  For irreducible f
     every cycle has length exponent(f).
+
+    The n-windows of one cycle are its states, all distinct, so the
+    cycle length is the minimal period of its bits, and the rotation
+    that starts at the least state is the least rotation.  Walking from
+    the least state not yet seen therefore yields each cycle canonical.
     """
     n = f.degree
     if f.mask == 0 or n == 0:
@@ -169,8 +189,10 @@ def generate_cycles(f: Gf2Poly) -> SequenceFamily:
         raise ValueError("degree capped at 24")
     if not (f.mask & 1):
         raise ValueError("singular register: constant term of f is zero")
-    taps = f.mask & ((1 << n) - 1)
     size = 1 << n
+    low, top = size - 1, n - 1
+    # c_i multiplies a_{k-i}, which sits in bit i-1 of the state
+    taps = int(format(f.mask & low, f"0{n}b")[::-1], 2)
     seen = bytearray(size)
     cycles = []
     for start in range(1, size):
@@ -179,9 +201,9 @@ def generate_cycles(f: Gf2Poly) -> SequenceFamily:
         state, bits = start, []
         while not seen[state]:
             seen[state] = 1
-            bits.append(state & 1)
-            state = (state >> 1) | (((state & taps).bit_count() & 1) << (n - 1))
-        cycles.append(CyclicSequence(bits).canonical())
+            bits.append(state >> top)
+            state = ((state << 1) & low) | ((state & taps).bit_count() & 1)
+        cycles.append(CyclicSequence._known(tuple(bits), canonical=True))
     cycles.sort(key=lambda c: c.bits)
     lengths = {len(c) for c in cycles}
     return SequenceFamily(
@@ -206,11 +228,18 @@ def m_sequence(f: Gf2Poly) -> CyclicSequence:
 
 
 def _window_keys(seq: CyclicSequence, n: int):
-    ext = seq.bits * (n // len(seq.bits) + 2)
-    for p in range(len(seq.bits)):
-        w = 0
-        for j in range(n):
-            w = (w << 1) | ext[p + j]
+    """The n-window at every position of seq, first bit most significant.
+
+    The key rolls along the sequence: one shift and mask per position.
+    """
+    bits = seq.bits
+    ext = bits * (n // len(bits) + 2)
+    full = (1 << n) - 1
+    w = 0
+    for b in ext[: n - 1]:
+        w = (w << 1) | b
+    for b in ext[n - 1 : n - 1 + len(bits)]:
+        w = ((w << 1) & full) | b
         yield w
 
 

@@ -166,6 +166,59 @@ def test_constructor_rejects_bad_input():
         CyclicArray([""])
 
 
+def parse_rows_oracle(rows):
+    """Row masks of CyclicArray(rows), or the error, cell by cell."""
+    masks, width = [], None
+    try:
+        for row in rows:
+            row = [int(c) for c in row] if isinstance(row, str) else list(row)
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ValueError("ragged rows")
+            mask = 0
+            for j, bit in enumerate(row):
+                if bit not in (0, 1):
+                    raise ValueError(f"cell value {bit!r} is not a bit")
+                mask |= bit << j
+            masks.append(mask)
+        if not masks or not width:
+            raise ValueError("array must have at least one row and column")
+    except ValueError as exc:
+        return str(exc)
+    return tuple(masks)
+
+
+def row_strings_oracle(a):
+    return [
+        "".join(str(a.cell(i, j)) for j in range(a.cols))
+        for i in range(a.rows)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.text(alphabet="0101012a \u0663", max_size=8), min_size=0, max_size=5
+    )
+)
+def test_string_rows_parse_like_the_per_cell_oracle(rows):
+    want = parse_rows_oracle(rows)
+    try:
+        got = CyclicArray(rows).rowmasks
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 70), st.randoms())
+def test_row_strings_match_per_cell_oracle(r, t, rng):
+    a = CyclicArray.from_rowmasks([rng.getrandbits(t) for _ in range(r)], t)
+    assert a.row_strings() == row_strings_oracle(a)
+    assert CyclicArray(a.row_strings()) == a
+
+
 def test_cell_wraps_both_ways():
     a = FOLDPR
     assert a.cell(0, 0) == 0 and a.cell(0, 1) == 1
@@ -501,3 +554,34 @@ def test_window_keys_match_window_key_in_anchor_order(data):
     assert list(_window_keys(a, n, m)) == [
         window_key(a, i, j, n, m) for i in range(r) for j in range(t)
     ]
+
+
+def test_min_distance_reuses_the_closure_verdict_of_verify(monkeypatch):
+    import foldcodes.arraycode as arraycode
+
+    calls = []
+    literal = arraycode._closure_verdict
+
+    def counted(code):
+        calls.append(code)
+        return literal(code)
+
+    monkeypatch.setattr(arraycode, "_closure_verdict", counted)
+    code = ArrayCode("PRAC", 3, 7, 2, 3, PRAC37)
+    assert verify(code).ok
+    assert min_distance(code) == 8
+    assert len(calls) == 1
+    # a fresh, equal code is checked afresh and gets the same answers
+    again = ArrayCode("PRAC", 3, 7, 2, 3, PRAC37)
+    assert min_distance(again) == 8
+    assert len(calls) == 2
+    assert again == code
+
+
+@pytest.mark.parametrize("n, m", [(5, 8), (10**9, 10**9), (1, 33)])
+def test_window_beyond_the_cap_is_refused_without_counting(n, m):
+    rep = verify(ArrayCode("PRA", 3, 5, n, m, (FOLDPR,)))
+    assert not rep.ok
+    assert not rep.counting_ok and not rep.coverage_ok
+    assert rep.notes[0] == f"counting: 1 arrays x 3x5 cells != 2^{n * m} - 1"
+    assert "window size out of supported range" in rep.notes

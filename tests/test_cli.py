@@ -221,6 +221,60 @@ def test_verify_rejects_dimension_below_one(tmp_path, capsys, field):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+_FOLDPR_DOC = {
+    "kind": "PRA",
+    "r": 3,
+    "t": 5,
+    "n": 2,
+    "m": 2,
+    "arrays": [["01010", "10001", "11011"]],
+    "meta": {},
+}
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [("verify", "n"), ("verify", "m"), ("verify", "r"), ("unfold", "r"),
+     ("unfold", "t")],
+)
+@pytest.mark.parametrize("value", ["1e400", "3.0", '"3"', "true", "null"])
+def test_non_integer_fields_are_malformed(
+    tmp_path, capsys, command, field, value
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_FOLDPR_DOC).replace(
+        f'"{field}": {_FOLDPR_DOC[field]}', f'"{field}": {value}'
+    ))
+    assert run([command, "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed document" in err and "Traceback" not in err
+
+
+def test_huge_window_is_unverified_like_a_window_over_the_cap(
+    tmp_path, capsys
+):
+    reports = {}
+    for n, m in [(5, 8), (10**9, 10**9)]:
+        doc = tmp_path / f"w{n}.json"
+        doc.write_text(json.dumps(dict(_FOLDPR_DOC, n=n, m=m)))
+        assert run(["verify", "--input", str(doc)]) == 1
+        reports[n] = capsys.readouterr().out.splitlines()
+    for lines in reports.values():
+        assert "coverage: FAIL" in lines
+        assert "note: window size out of supported range" in lines
+        assert lines[-1] == "verdict: not verified"
+    # only the header, the counting note and the dimension note name the
+    # window size
+    small, huge = reports.values()
+    assert len(small) == len(huge)
+    differ = [i for i, (a, b) in enumerate(zip(small, huge)) if a != b]
+    assert [small[i].split(":")[0] for i in differ] == ["kind", "note", "note"]
+    assert small[differ[1]] == (
+        "note: counting: 1 arrays x 3x5 cells != 2^40 - 1"
+    )
+    assert huge[differ[2]].startswith("note: dimension conditions fail")
+
+
 def test_construct_pf(capsys):
     assert run(["construct", "pf", "--n", "3", "--k", "2"]) == 0
     out = capsys.readouterr().out

@@ -10,6 +10,8 @@ import warnings
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldcodes.arraycode import ArrayCode, CyclicArray, shift2d, verify
 from foldcodes.folding import (
@@ -40,6 +42,10 @@ def fold_oracle(s, r, t):
     return CyclicArray(
         [[cells[(i, j)] for j in range(t)] for i in range(r)]
     )
+
+
+def unfold_oracle(a):
+    return CyclicSequence([a.cell(p, p) for p in range(a.rows * a.cols)])
 
 
 def positions_oracle(r, t, n, m):
@@ -117,6 +123,28 @@ def test_fold_matches_oracle_random():
             if (r * t) % len(s):
                 continue
             assert fold(s, r, t) == fold_oracle(s, r, t)
+
+
+@st.composite
+def folding_cases(draw):
+    """Coprime r, t and a sequence whose period divides rt."""
+    r = draw(st.integers(1, 40))
+    t = draw(st.integers(1, 40).filter(lambda t: gcd(r, t) == 1))
+    periods = [d for d in range(1, r * t + 1) if (r * t) % d == 0]
+    L = draw(st.sampled_from(periods))
+    bits = draw(st.lists(st.integers(0, 1), min_size=L, max_size=L))
+    return CyclicSequence(bits), r, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(folding_cases())
+def test_fold_and_unfold_match_per_cell_oracles(case):
+    s, r, t = case
+    a = fold(s, r, t)
+    assert a == fold_oracle(s, r, t)
+    back = unfold(a)
+    assert back.bits == unfold_oracle(a).bits == s.bits
+    assert back.canonical_bits == s.canonical_bits
 
 
 # ----------------------------------------------------------------- unfold

@@ -311,3 +311,67 @@ def test_enumerate_with_exponent_filter_matches_census():
             by_exp.setdefault(exponent(f), []).append(f)
         for e, group in by_exp.items():
             assert enumerate_irreducible(n, e) == group
+
+
+# ------------------------------------------- sieve and order, differential
+
+
+def divisors_oracle(k: int) -> list:
+    return [d for d in range(1, k + 1) if k % d == 0]
+
+
+def exponent_divisor_scan(f: Gf2Poly) -> int:
+    # the literal form: the least divisor d of 2^n - 1 with x^d = 1
+    for d in divisors_oracle((1 << f.degree) - 1):
+        if pow_x_mod(d, f).mask == 1:
+            return d
+    raise AssertionError("order of x must divide 2^n - 1")
+
+
+def irreducible_trial(n: int) -> list:
+    # every degree-n candidate put to is_irreducible, one by one
+    return [
+        Gf2Poly(mask)
+        for mask in range(1 << n, 1 << (n + 1))
+        if is_irreducible(Gf2Poly(mask))
+    ]
+
+
+def gauss_count(n: int) -> int:
+    # (1/n) sum over d | n of mu(d) 2^(n/d)
+    def mobius(d):
+        out, p = 1, 2
+        while d > 1:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return out
+
+    return sum(mobius(d) << (n // d) for d in divisors_oracle(n)) // n
+
+
+def test_sieve_and_exponent_filter_match_trial_division_to_degree_12():
+    for n in range(1, 13):
+        polys = irreducible_trial(n)
+        assert enumerate_irreducible(n) == polys, n
+        by_exp = {}
+        for f in polys:
+            if f.mask & 1:
+                by_exp.setdefault(exponent_divisor_scan(f), []).append(f)
+        for e in divisors_oracle((1 << n) - 1):
+            assert enumerate_irreducible(n, e) == by_exp.get(e, []), (n, e)
+
+
+def test_sieve_counts_match_gauss_formula_to_degree_16():
+    for n in range(1, 17):
+        assert len(enumerate_irreducible(n)) == gauss_count(n), n
+
+
+def test_exponent_matches_divisor_scan_to_degree_12():
+    for n in range(1, 13):
+        for f in enumerate_irreducible(n):
+            if f.mask & 1:
+                assert exponent(f) == exponent_divisor_scan(f), f

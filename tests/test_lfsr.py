@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible, exponent, mul
 from foldcodes.lfsr import (
     ZERO_SEQUENCE,
+    _minimal_period,
+    _window_keys,
     CyclicSequence,
     PerfectFactor,
     SequenceFamily,
@@ -326,3 +328,78 @@ def test_perfect_factor_verifier_on_handmade_instances():
         3, 2, (CyclicSequence("0001"), CyclicSequence("0111")), (0, 0)
     )
     assert verify_perfect_factor(two)
+
+
+# ---------------------------------------------- fast paths, differential
+
+
+def minimal_period_oracle(bits: tuple) -> int:
+    # the literal divisor scan, shortest period first
+    n = len(bits)
+    for d in range(1, n + 1):
+        if n % d == 0 and bits[:d] * (n // d) == bits:
+            return d
+    return n
+
+
+def cycles_by_booth_walk(f: Gf2Poly) -> list:
+    # the state walk with the oldest bit in bit 0, each cycle reduced to
+    # its minimal period and canonicalised by Booth's least rotation
+    n = f.degree
+    taps = f.mask & ((1 << n) - 1)
+    seen = bytearray(1 << n)
+    cycles = []
+    for start in range(1, 1 << n):
+        if seen[start]:
+            continue
+        state, bits = start, []
+        while not seen[state]:
+            seen[state] = 1
+            bits.append(state & 1)
+            state = (state >> 1) | (
+                ((state & taps).bit_count() & 1) << (n - 1)
+            )
+        cycles.append(CyclicSequence(bits).canonical().bits)
+    return sorted(cycles)
+
+
+def test_generate_cycles_matches_booth_walk_to_degree_9():
+    # every f with a constant term, reducible ones included
+    for mask in range(3, 1 << 10, 2):
+        f = Gf2Poly(mask)
+        fam = generate_cycles(f)
+        want = cycles_by_booth_walk(f)
+        assert [s.bits for s in fam.members] == want, f
+        assert all(s.canonical_bits == s.bits for s in fam.members)
+        assert all(
+            len(s) == minimal_period_oracle(s.bits) for s in fam.members
+        )
+        lengths = {len(c) for c in want}
+        assert fam.exponent == (lengths.pop() if len(lengths) == 1 else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=24),
+    st.integers(1, 12),
+)
+def test_minimal_period_matches_divisor_scan(base, copies):
+    bits = tuple(base) * copies
+    assert _minimal_period(bits) == minimal_period_oracle(bits)
+    assert _minimal_period(bytes(bits)) == minimal_period_oracle(bits)
+    assert CyclicSequence(bits).bits == bits[: minimal_period_oracle(bits)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=40),
+    st.integers(1, 50),
+)
+def test_window_keys_match_literal_windows(bits, n):
+    seq = CyclicSequence(bits)
+    L = len(seq.bits)
+    literal = [
+        int("".join(str(seq.bits[(p + j) % L]) for j in range(n)), 2)
+        for p in range(L)
+    ]
+    assert list(_window_keys(seq, n)) == literal
