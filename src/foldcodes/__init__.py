@@ -29,7 +29,7 @@ from foldcodes.constructions import (
     experiment_product_fold,
     perfect_factor,
 )
-from foldcodes.folding import FoldingMap, fold, positions_independent, set_polynomial, unfold
+from foldcodes.folding import fold, positions_independent, set_polynomial, unfold
 from foldcodes.gf2poly import (
     Gf2Poly,
     enumerate_irreducible,
@@ -58,7 +58,6 @@ __all__ = [
     "ConstructionReport",
     "CyclicArray",
     "CyclicSequence",
-    "FoldingMap",
     "Gf2Poly",
     "NonexistenceError",
     "PerfectFactor",

@@ -21,8 +21,6 @@ import sys
 
 from .arraycode import _DIGITS, KINDS, ArrayCode, CyclicArray, verify
 from .constructions import (
-    NonexistenceError,
-    PreconditionError,
     SearchExhausted,
     construct_db_pmc_direct,
     construct_pmc_odd,
@@ -69,14 +67,14 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _code_document(code: ArrayCode, meta: dict) -> dict:
+def _code_document(kind, r, t, n, m, arrays, meta: dict) -> dict:
     return {
-        "kind": code.kind,
-        "r": code.r,
-        "t": code.t,
-        "n": code.n,
-        "m": code.m,
-        "arrays": [a.row_strings() for a in code.arrays],
+        "kind": kind,
+        "r": r,
+        "t": t,
+        "n": n,
+        "m": m,
+        "arrays": [a.row_strings() for a in arrays],
         "meta": meta,
     }
 
@@ -183,15 +181,10 @@ def cmd_fold(args) -> int:
         members = members[args.cycle_index : args.cycle_index + 1]
     arrays = tuple(fold(s, args.r, args.t) for s in members)
     if args.format == "json":
-        doc = {
-            "kind": "RAW",
-            "r": args.r,
-            "t": args.t,
-            "n": args.n,
-            "m": args.m,
-            "arrays": [a.row_strings() for a in arrays],
-            "meta": {"construction": "fold", "poly": str(f)},
-        }
+        doc = _code_document(
+            "RAW", args.r, args.t, args.n, args.m, arrays,
+            {"construction": "fold", "poly": str(f)},
+        )
         _emit(_dump_json(doc), args.out)
     else:
         _emit(_arrays_text(arrays), args.out)
@@ -266,10 +259,13 @@ def _emit_report(args, rep, extra_meta) -> int:
     if rep.experimental:
         meta["experimental"] = True
     meta.update(extra_meta)
+    code = rep.produced
     if args.format == "json":
-        _emit(_dump_json(_code_document(rep.produced, meta)), args.out)
+        doc = _code_document(
+            code.kind, code.r, code.t, code.n, code.m, code.arrays, meta
+        )
+        _emit(_dump_json(doc), args.out)
     else:
-        code = rep.produced
         head = (
             f"{code.kind} ({code.r},{code.t};{code.n},{code.m})"
             f" arrays={len(code.arrays)} claimed={rep.claimed_size}"
@@ -503,18 +499,7 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        PreconditionError,
-        NonexistenceError,
-        SearchExhausted,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_CliError, ValueError, SearchExhausted, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

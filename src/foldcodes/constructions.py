@@ -10,8 +10,10 @@ passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from itertools import accumulate, product
 from math import gcd
+from operator import xor
 
 from .arraycode import (
     ArrayCode,
@@ -32,7 +34,6 @@ from .gf2poly import (
 from .lfsr import (
     CyclicSequence,
     PerfectFactor,
-    d_inverse_bits,
     debruijn_from_primitive,
     debruijn_sequence,
     generate_cycles,
@@ -187,40 +188,67 @@ def _pf_checked(pf: PerfectFactor) -> None:
         raise PreconditionError("input is not a valid perfect factor")
 
 
-def _materialize(word, pf: PerfectFactor, r: int) -> CyclicArray:
-    cols = []
-    for i, j, bar in word:
-        bits = pf.cycles[i].bits
-        col = tuple(bits[(u + j) % r] ^ bar for u in range(r))
-        cols.append(col)
-    return CyclicArray(
-        [[cols[c][u] for c in range(len(cols))] for u in range(r)]
-    )
+def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, words):
+    """The DBAC of the distinct arrays among words, each word a sequence
+    of t (cycle, shift, complement) columns: column c of the array is
+    cycle i of pf turned up by j, complemented when the flag is set.
 
-
-def _dedup_arrays(words, pf: PerfectFactor, r: int):
-    """Collapse codewords that are column rotations of each other once
-    shifts are re-anchored. Enumerated words are never plain vertical
-    shifts of one another (the first column is pinned at its zero
-    state), so these classes coincide with equality up to arbitrary 2D
-    rotation; dedup therefore keys each word's canonical 2D form.
-    Returns the canonical representatives in ascending order.
+    Columns are packed with cell u at bit u*t, so an array's packed form
+    is the OR of its columns shifted into place. Words are consumed one
+    at a time and collapsed to their canonical 2D rotation; enumerated
+    words are never plain vertical shifts of one another (the first
+    column is pinned at its zero state), so these classes coincide with
+    equality up to arbitrary 2D rotation.
     """
+    n, r = pf.order, 1 << pf.subdegree
+    if n * ell > 24:
+        raise ValueError("window size capped at 24 bits")
+    row = (1 << t) - 1
+    full = (1 << (r * t)) - 1
+    ones = full // row  # bit u*t for every row u
+    columns = {}
+    for i, cycle in enumerate(pf.cycles):
+        base = sum(cycle.bits[u] << (u * t) for u in range(r))
+        for j in range(r):
+            col = ((base >> (j * t)) | (base << ((r - j) * t))) & full
+            columns[i, j, 0] = col
+            columns[i, j, 1] = col ^ ones
     classes = {}
     for word in words:
-        a = canonical2d(_materialize(word, pf, r))
+        packed = 0
+        for c, key in enumerate(word):
+            packed |= columns[key] << c
+        a = canonical2d(
+            CyclicArray.from_rowmasks(
+                [(packed >> (u * t)) & row for u in range(r)], t
+            )
+        )
         classes.setdefault(a.packed(), a)
-    return tuple(classes[key] for key in sorted(classes))
+    arrays = tuple(classes[key] for key in sorted(classes))
 
-
-def _horizontal_period(a: CyclicArray) -> int:
-    t = a.cols
-    for h in range(1, t + 1):
-        if t % h:
-            continue
-        if shift2d(a, 0, h) == a:
-            return h
-    return t
+    notes = []
+    claimed = 1 << size_exp
+    if len(arrays) != claimed:
+        notes.append(
+            f"size mismatch: {len(arrays)} codewords, claimed {claimed}"
+        )
+    # t is a power of two, so a period below t divides t/2; pmc-sd
+    # arrays never have one, as column c + l complements column c
+    aperiodic = [a for a in arrays if shift2d(a, 0, t // 2) == a]
+    if aperiodic:
+        notes.append(
+            f"{len(aperiodic)} codewords have horizontal period below {t}"
+        )
+    code = ArrayCode("DBAC", r, t, n, ell, arrays)
+    rep = verify(code)
+    notes.extend(rep.notes)
+    return ConstructionReport(
+        parameters=(r, t, n, ell),
+        claimed_size=claimed,
+        produced=code,
+        verified=rep.ok,
+        notes=tuple(notes),
+    )
 
 
 def construct_pmc_odd(pf: PerfectFactor, m: int) -> ConstructionReport:
@@ -245,46 +273,18 @@ def construct_pmc_odd(pf: PerfectFactor, m: int) -> ConstructionReport:
         )
     if m < k:
         raise PreconditionError(f"requires m >= k (m={m}, k={k})")
-    if n * ell > 24:
-        raise ValueError("window size capped at 24 bits")
     r = 1 << k
-    t = ell + 1
     q = 1 << (n - k)
 
-    words = []
-    for i_free in product(range(1, q + 1), repeat=ell):
-        v = (1 - sum(i_free)) % q
-        i_last = q if v == 0 else v
-        i_all = i_free + (i_last,)
-        for j_free in product(range(r), repeat=ell - 1):
-            j_last = (-sum(j_free)) % r
-            j_all = (0,) + j_free + (j_last,)
-            words.append(
-                tuple((i - 1, j, 0) for i, j in zip(i_all, j_all))
-            )
-    arrays = _dedup_arrays(words, pf, r)
+    def words():
+        # sum i_r = 1 over 1-based indices is sum i_r = -l over 0-based
+        for i_free in product(range(q), repeat=ell):
+            i_all = i_free + ((-ell - sum(i_free)) % q,)
+            for j_free in product(range(r), repeat=ell - 1):
+                j_all = (0,) + j_free + ((-sum(j_free)) % r,)
+                yield [(i, j, 0) for i, j in zip(i_all, j_all)]
 
-    notes = []
-    claimed = 1 << size_exp
-    if len(arrays) != claimed:
-        notes.append(
-            f"size mismatch: {len(arrays)} codewords, claimed {claimed}"
-        )
-    aperiodic = [a for a in arrays if _horizontal_period(a) != t]
-    if aperiodic:
-        notes.append(
-            f"{len(aperiodic)} codewords have horizontal period below {t}"
-        )
-    code = ArrayCode("DBAC", r, t, n, ell, arrays)
-    rep = verify(code)
-    notes.extend(rep.notes)
-    return ConstructionReport(
-        parameters=(r, t, n, ell),
-        claimed_size=claimed,
-        produced=code,
-        verified=rep.ok,
-        notes=tuple(notes),
-    )
+    return _compose(pf, ell, ell + 1, size_exp, words())
 
 
 def construct_pmc_sd(pf: PerfectFactor, m: int) -> ConstructionReport:
@@ -305,37 +305,18 @@ def construct_pmc_sd(pf: PerfectFactor, m: int) -> ConstructionReport:
             f"degenerate parameters: claimed size 2^{size_exp} "
             "is not an integer"
         )
-    if n * ell > 24:
-        raise ValueError("window size capped at 24 bits")
     r = 1 << k
-    t = 2 * ell
     q = 1 << (n - k)
 
-    words = []
-    for i_all in product(range(q), repeat=ell):
-        for j_free in product(range(r), repeat=ell - 1):
-            j_all = (0,) + j_free
-            head = tuple((i, j, 0) for i, j in zip(i_all, j_all))
-            tail = tuple((i, j, 1) for i, j in zip(i_all, j_all))
-            words.append(head + tail)
-    arrays = _dedup_arrays(words, pf, r)
+    def words():
+        for i_all in product(range(q), repeat=ell):
+            for j_free in product(range(r), repeat=ell - 1):
+                head = list(zip(i_all, (0,) + j_free))
+                yield [(i, j, 0) for i, j in head] + [
+                    (i, j, 1) for i, j in head
+                ]
 
-    notes = []
-    claimed = 1 << size_exp
-    if len(arrays) != claimed:
-        notes.append(
-            f"size mismatch: {len(arrays)} codewords, claimed {claimed}"
-        )
-    code = ArrayCode("DBAC", r, t, n, ell, arrays)
-    rep = verify(code)
-    notes.extend(rep.notes)
-    return ConstructionReport(
-        parameters=(r, t, n, ell),
-        claimed_size=claimed,
-        produced=code,
-        verified=rep.ok,
-        notes=tuple(notes),
-    )
+    return _compose(pf, ell, 2 * ell, size_exp, words())
 
 
 # ---------------------------------------------------------------------
@@ -365,15 +346,18 @@ def construct_db_pmc_direct(
         )
     if not verify(code).ok:
         raise PreconditionError("input code fails verification")
-    columns = {}
+    # The difference map acts down every column at once on row masks:
+    # row u + 1 of a preimage is its row u XOR input row u. From row 0 = 0
+    # that gives each column's preimage with first bit 0; the other one is
+    # its complement, so XOR-ing the selector bits into every row chooses
+    # per column. Even column weight makes the sums close around the wrap.
+    bases = []
     for idx, a in enumerate(code.arrays):
-        for j in range(t):
-            col = tuple(a.cell(u, j) for u in range(r))
-            if sum(col) % 2:
-                raise PreconditionError(
-                    f"array {idx} column {j} has odd weight"
-                )
-            columns[(idx, j)] = col
+        odd = reduce(xor, a.rowmasks)
+        if odd:
+            j = (odd & -odd).bit_length() - 1
+            raise PreconditionError(f"array {idx} column {j} has odd weight")
+        bases.append(tuple(accumulate(a.rowmasks[:-1], xor, initial=0)))
     if seed_poly is not None:
         if seed_poly.degree != m:
             raise PreconditionError(
@@ -385,17 +369,11 @@ def construct_db_pmc_direct(
 
     arrays = []
     for q in range(t):
-        sel = shift(selector, q).bits
-        for idx, a in enumerate(code.arrays):
-            cols = [
-                d_inverse_bits(columns[(idx, j)], sel[j % len(sel)])
-                for j in range(t)
-            ]
-            arrays.append(
-                CyclicArray(
-                    [[cols[j][u] for j in range(t)] for u in range(r)]
-                )
-            )
+        choice = sum(b << j for j, b in enumerate(shift(selector, q).bits))
+        arrays.extend(
+            CyclicArray.from_rowmasks([row ^ choice for row in base], t)
+            for base in bases
+        )
     claimed = t * len(code.arrays)
     out = ArrayCode("DBAC", r, t, n + 1, code.m, tuple(arrays))
     rep = verify(out)

@@ -9,7 +9,6 @@ nonnegative integers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import gcd
 
 from .arraycode import CyclicArray
@@ -17,22 +16,11 @@ from .gf2poly import Gf2Poly, is_irreducible, mul, pow_x_mod
 from .lfsr import CyclicSequence, _minimal_period
 
 
-@dataclass(frozen=True)
-class FoldingMap:
-    r: int
-    t: int
-
-    def __post_init__(self):
-        if self.r < 1 or self.t < 1:
-            raise ValueError("dimensions must be positive")
-        if gcd(self.r, self.t) != 1:
-            raise ValueError(
-                f"dimensions {self.r} and {self.t} are not coprime"
-            )
-
-    @property
-    def size(self) -> int:
-        return self.r * self.t
+def _check_coprime(r: int, t: int) -> None:
+    if r < 1 or t < 1:
+        raise ValueError("dimensions must be positive")
+    if gcd(r, t) != 1:
+        raise ValueError(f"dimensions {r} and {t} are not coprime")
 
 
 _TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
@@ -52,11 +40,15 @@ def fold(s: CyclicSequence, r: int, t: int) -> CyclicArray:
     The period of s must divide rt; a shorter period is extended
     periodically.
     """
-    fm = FoldingMap(r, t)
+    _check_coprime(r, t)
     L = len(s)
-    if fm.size % L != 0:
+    if (r * t) % L != 0:
         raise ValueError(f"period {L} does not divide {r}x{t}")
-    text = bytes(s.bits).translate(_TO_TEXT) * (fm.size // L)
+    if t == 1:  # row i is the one cell s[i]
+        return CyclicArray.from_rowmasks(bytes(s.bits) * (r // L), 1)
+    text = bytes(s.bits).translate(_TO_TEXT) * (r * t // L)
+    if r == 1:  # the one row is the sequence itself
+        return CyclicArray.from_rowmasks((int(text[::-1], 2),), t)
     rinv = pow(r, -1, t)
     # columns last to first, so each row comes out reversed (column 0
     # least significant) and turning it back by i is a left rotation
@@ -75,7 +67,7 @@ def fold(s: CyclicSequence, r: int, t: int) -> CyclicArray:
 def unfold(a: CyclicArray) -> CyclicSequence:
     """The unique sequence folding to a; inverse of fold."""
     r, t = a.rows, a.cols
-    FoldingMap(r, t)
+    _check_coprime(r, t)
     turned = "".join(
         row[i % t :] + row[: i % t] for i, row in enumerate(a.row_strings())
     )
@@ -90,7 +82,7 @@ def window_positions(r: int, t: int, n: int, m: int) -> frozenset:
     For each cell (i, j) with i < n, j < m this is the unique p in
     [0, rt) with p = i mod r and p = j mod t.
     """
-    fm = FoldingMap(r, t)
+    _check_coprime(r, t)
     if not (1 <= n <= r and 1 <= m <= t):
         raise ValueError(f"{n}x{m} window does not fit in {r}x{t}")
     if r == 1:
@@ -99,7 +91,7 @@ def window_positions(r: int, t: int, n: int, m: int) -> frozenset:
     out = set()
     for i in range(n):
         for j in range(m):
-            out.add((i + r * (((j - i) * inv) % t)) % fm.size)
+            out.add((i + r * (((j - i) * inv) % t)) % (r * t))
     return frozenset(out)
 
 

@@ -6,6 +6,7 @@ not copied from the constructions themselves.
 """
 
 import dataclasses
+from itertools import product
 
 import pytest
 
@@ -289,6 +290,101 @@ def test_pmc_sd_rejections():
     assert "degenerate" in str(exc.value)
     with pytest.raises(ValueError):
         construct_pmc_sd(perfect_factor(4, 4), 3)  # 4*8 > 24
+
+
+# ---------------------------------------------------------------------
+# column composition against its literal form
+# ---------------------------------------------------------------------
+
+
+def _literal_words(pf, m, which):
+    """Every word of the composition as (cycle, shift, complement)
+    columns, with the indices 1-based as in the constraint."""
+    n, k = pf.order, pf.subdegree
+    r, q = 1 << k, 1 << (n - k)
+    if which == "odd":
+        ell = (1 << m) - 1
+        for i_free in product(range(1, q + 1), repeat=ell):
+            v = (1 - sum(i_free)) % q
+            i_last = q if v == 0 else v
+            i_all = i_free + (i_last,)
+            for j_free in product(range(r), repeat=ell - 1):
+                j_last = (-sum(j_free)) % r
+                j_all = (0,) + j_free + (j_last,)
+                yield tuple((i - 1, j, 0) for i, j in zip(i_all, j_all))
+    else:
+        ell = 1 << m
+        for i_all in product(range(q), repeat=ell):
+            for j_free in product(range(r), repeat=ell - 1):
+                j_all = (0,) + j_free
+                head = tuple((i, j, 0) for i, j in zip(i_all, j_all))
+                tail = tuple((i, j, 1) for i, j in zip(i_all, j_all))
+                yield head + tail
+
+
+def _literal_composition(pf, m, which):
+    """Nested-tuple columns, then CyclicArray(rows), then the set of
+    canonical 2D rotations (packed)."""
+    r = 1 << pf.subdegree
+    classes = set()
+    for word in _literal_words(pf, m, which):
+        cols = [
+            tuple(pf.cycles[i].bits[(u + j) % r] ^ bar for u in range(r))
+            for i, j, bar in word
+        ]
+        a = CyclicArray([[col[u] for col in cols] for u in range(r)])
+        classes.add(canonical2d(a).packed())
+    return classes
+
+
+def _transformed(pf, complement, reverse):
+    """pf with every cycle complemented and/or reversed: again a perfect
+    factor."""
+    cycles = []
+    for c in pf.cycles:
+        bits = c.bits[:1] + c.bits[:0:-1] if reverse else c.bits
+        cycles.append(CyclicSequence([b ^ complement for b in bits]))
+    return PerfectFactor(pf.order, pf.subdegree, tuple(cycles), pf.zero_state)
+
+
+# the compositions the compose-dbac benchmark runs, each on the factor
+# complemented and/or reversed as its seed picks
+_BENCHMARKED = {
+    ("odd", 2, 2, 2), ("sd", 2, 2, 1), ("sd", 2, 2, 2), ("odd", 3, 2, 2),
+    ("sd", 3, 2, 2), ("sd", 3, 3, 2), ("sd", 6, 3, 1),
+}
+
+
+def test_compositions_match_literal_form():
+    """Every (PF, m) with at most 2^14 words, for the factors with
+    n <= 6 (PF(6,3) with even parity, as benchmarked); the benchmarked
+    compositions also on their complemented and reversed factors."""
+    cases = 0
+    for k in range(1, 7):
+        for n in range(k, min(1 << k, 7)):
+            parity = "even" if (n, k) == (6, 3) else None
+            base = perfect_factor(n, k, parity)
+            r, q = 1 << k, 1 << (n - k)
+            for which, build in (
+                ("odd", construct_pmc_odd),
+                ("sd", construct_pmc_sd),
+            ):
+                for m in range(1, 6):
+                    ell = (1 << m) - 1 if which == "odd" else 1 << m
+                    if q**ell * r ** (ell - 1) > 1 << 14:
+                        continue
+                    flips = (0, 1) if (which, n, k, m) in _BENCHMARKED else (0,)
+                    for complement, reverse in product(flips, repeat=2):
+                        pf = _transformed(base, complement, reverse)
+                        try:
+                            rep = build(pf, m)
+                        except ValueError:
+                            continue  # degenerate, m < k or over the cap
+                        want = _literal_composition(pf, m, which)
+                        got = [a.packed() for a in rep.produced.arrays]
+                        assert got == sorted(want), (which, n, k, m)
+                        cases += 1
+    assert cases == 47
 
 
 # ---------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from foldcodes.arraycode import ArrayCode, CyclicArray, shift2d, verify
 from foldcodes.folding import (
-    FoldingMap,
     fold,
     positions_independent,
     set_polynomial,
@@ -58,17 +57,26 @@ def divides(f, g):
     return _mod(g.mask, f.mask) == 0
 
 
-# ------------------------------------------------------------- FoldingMap
+# ----------------------------------------------------- folding dimensions
 
 
 def test_folding_map_validation():
-    assert FoldingMap(3, 5).size == 15
-    with pytest.raises(ValueError):
-        FoldingMap(3, 21)
-    with pytest.raises(ValueError):
-        FoldingMap(2, 4)
-    with pytest.raises(ValueError):
-        FoldingMap(0, 5)
+    """fold, unfold and window_positions refuse the same shapes; unfold
+    cannot be handed a 0-row array, so it sees only the coprimality
+    rejections."""
+    seq = CyclicSequence("1")
+    for r, t, text in [
+        (3, 21, "dimensions 3 and 21 are not coprime"),
+        (2, 4, "dimensions 2 and 4 are not coprime"),
+        (0, 5, "dimensions must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=text):
+            fold(seq, r, t)
+        with pytest.raises(ValueError, match=text):
+            window_positions(r, t, 1, 1)
+        if r:
+            with pytest.raises(ValueError, match=text):
+                unfold(CyclicArray(["0" * t] * r))
 
 
 # ------------------------------------------------------------------- fold
@@ -114,7 +122,10 @@ def test_fold_errors():
 
 def test_fold_matches_oracle_random():
     rng = random.Random(29)
-    for r, t in [(1, 1), (1, 6), (2, 3), (3, 5), (4, 9), (5, 8), (7, 9)]:
+    shapes = [(1, 1), (1, 6), (2, 3), (3, 5), (4, 9), (5, 8), (7, 9)]
+    # single-row and single-column shapes take their own path in fold
+    shapes += [(1, 255), (255, 1), (1, 2), (2, 1), (7, 1), (1, 7)]
+    for r, t in shapes:
         for _ in range(5):
             bits = [rng.randrange(2) for _ in range(r * t)]
             if not any(bits):
