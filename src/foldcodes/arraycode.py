@@ -1,9 +1,10 @@
 """Doubly periodic binary arrays and array code verification.
 
-A CyclicArray stores one integer per row, bit j of row i holding cell
-(i, j). Every index wraps, so (i, j) always means (i mod r, j mod t).
-Equality is exact cell-wise; canonical2d gives a distinguished 2D
-rotation for set membership questions.
+A CyclicArray is one packed integer, bit i*t + j holding cell (i, j),
+and its shape r x t; shifting and adding arrays is integer arithmetic.
+Every index wraps, so (i, j) always means (i mod r, j mod t). Equality
+is exact cell-wise, shape included; canonical2d gives a distinguished
+2D rotation for set membership questions.
 
 Array code kinds:
 
@@ -39,104 +40,99 @@ _MAX_WINDOW = 32  # largest n*m whose windows verify enumerates
 class CyclicArray:
     """An r x t binary array read cyclically in both directions."""
 
-    __slots__ = ("rowmasks", "cols")
+    __slots__ = ("_value", "rows", "cols")
 
     def __init__(self, rows):
-        masks = []
-        width = None
+        texts = []
         for row in rows:
             digits = isinstance(row, str) and _DIGITS.issuperset(row)
             if not digits:
-                if isinstance(row, str):
-                    row = [int(c) for c in row]
-                else:
-                    row = list(row)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+                row = list(map(int, row) if isinstance(row, str) else row)
+            if texts and len(row) != len(texts[0]):
                 raise ValueError("ragged rows")
-            if digits:
-                mask = int(row[::-1], 2) if row else 0
-            else:
-                mask = 0
-                for j, bit in enumerate(row):
+            if not digits:
+                for bit in row:
                     if bit not in (0, 1):
                         raise ValueError(f"cell value {bit!r} is not a bit")
-                    mask |= bit << j
-            masks.append(mask)
-        if not masks or not width:
+                row = "".join("01"[bit] for bit in row)
+            texts.append(row)
+        if not texts or not texts[0]:
             raise ValueError("array must have at least one row and column")
-        self.rowmasks = tuple(masks)
-        self.cols = width
+        # the rows in cell order, reversed, are the packed value's digits
+        self._value = int("".join(texts)[::-1], 2)
+        self.rows, self.cols = len(texts), len(texts[0])
+
+    @classmethod
+    def _wrap(cls, value: int, r: int, t: int) -> "CyclicArray":
+        """The r x t array whose packed form is value (below 2^(r*t))."""
+        obj = object.__new__(cls)
+        obj._value, obj.rows, obj.cols = value, r, t
+        return obj
 
     @classmethod
     def from_rowmasks(cls, rowmasks, cols):
+        rowmasks = tuple(rowmasks)
         if cols < 1 or not rowmasks:
             raise ValueError("array must have at least one row and column")
-        obj = object.__new__(cls)
-        obj.rowmasks = tuple(m & ((1 << cols) - 1) for m in rowmasks)
-        obj.cols = cols
-        return obj
+        full = (1 << cols) - 1
+        value = sum((m & full) << (i * cols) for i, m in enumerate(rowmasks))
+        return cls._wrap(value, len(rowmasks), cols)
 
     @property
-    def rows(self) -> int:
-        return len(self.rowmasks)
+    def rowmasks(self) -> tuple:
+        """Row i as an integer, bit j holding cell (i, j)."""
+        t, full = self.cols, (1 << self.cols) - 1
+        return tuple((self._value >> (i * t)) & full for i in range(self.rows))
 
     def cell(self, i: int, j: int) -> int:
-        return (self.rowmasks[i % self.rows] >> (j % self.cols)) & 1
+        return (self._value >> (i % self.rows * self.cols + j % self.cols)) & 1
 
     def packed(self) -> int:
         """All cells in one integer, bit i*t+j holding cell (i, j)."""
-        out = 0
-        for i, mask in enumerate(self.rowmasks):
-            out |= mask << (i * self.cols)
-        return out
+        return self._value
 
     def weight(self) -> int:
-        return sum(m.bit_count() for m in self.rowmasks)
+        return self._value.bit_count()
 
     def row_strings(self):
         """Each row as a string of t binary digits, column 0 first."""
-        fmt = f"0{self.cols}b"
-        return [format(m, fmt)[::-1] for m in self.rowmasks]
+        t = self.cols
+        text = format(self._value, f"0{self.rows * t}b")[::-1]
+        return [text[k : k + t] for k in range(0, len(text), t)]
 
     def __eq__(self, other):
         if not isinstance(other, CyclicArray):
             return NotImplemented
-        return self.cols == other.cols and self.rowmasks == other.rowmasks
+        return (self._value, self.rows, self.cols) == (
+            other._value, other.rows, other.cols
+        )
 
     def __hash__(self):
-        return hash((self.cols, self.rowmasks))
+        return hash((self._value, self.rows, self.cols))
 
     def __repr__(self):
         return f"CyclicArray({self.row_strings()})"
 
 
-def _rot_row(mask: int, dh: int, t: int) -> int:
-    """Rotate a t-bit row so the new bit j is the old bit (j - dh) mod t."""
-    dh %= t
-    if dh == 0:
-        return mask
-    full = (1 << t) - 1
-    return ((mask << dh) | (mask >> (t - dh))) & full
-
-
 def shift2d(a: CyclicArray, dv: int, dh: int) -> CyclicArray:
-    """Cyclic rotation: result[i][j] = a[(i - dv) mod r][(j - dh) mod t]."""
+    """Cyclic rotation: result[i][j] = a[(i - dv) mod r][(j - dh) mod t].
+    All rows turn at once (one mask for the cells that wrap), then the
+    rows turn as one rotation of the r*t bits."""
     r, t = a.rows, a.cols
-    dv %= r
-    rows = [
-        _rot_row(a.rowmasks[(i - dv) % r], dh, t) for i in range(r)
-    ]
-    return CyclicArray.from_rowmasks(rows, t)
+    size = r * t
+    full = (1 << size) - 1
+    dh %= t
+    wrap = ((1 << dh) - 1) * (full // ((1 << t) - 1))
+    v = a._value
+    v = ((v << dh) & (full ^ wrap)) | ((v >> (t - dh)) & wrap)
+    k = dv % r * t
+    return CyclicArray._wrap(((v << k) | (v >> (size - k))) & full, r, t)
 
 
 def add2d(a: CyclicArray, b: CyclicArray) -> CyclicArray:
     if a.rows != b.rows or a.cols != b.cols:
         raise ValueError("dimension mismatch")
-    return CyclicArray.from_rowmasks(
-        [x ^ y for x, y in zip(a.rowmasks, b.rowmasks)], a.cols
-    )
+    return CyclicArray._wrap(a._value ^ b._value, a.rows, a.cols)
 
 
 def window(a: CyclicArray, i: int, j: int, n: int, m: int):
@@ -168,7 +164,7 @@ def _packed_shifts(a: CyclicArray):
     r, t = a.rows, a.cols
     size = r * t
     full = (1 << size) - 1
-    packed = a.packed()
+    packed = a._value
     ones = full // ((1 << t) - 1)  # bit 0 of every row
     for dh in range(t):
         wrap = ((1 << dh) - 1) * ones
@@ -183,17 +179,10 @@ def _packed_shifts(a: CyclicArray):
                 yield ((base << k) | (base >> (size - k))) & full, dv, dh
 
 
-def _unpack(value: int, r: int, t: int) -> CyclicArray:
-    full = (1 << t) - 1
-    return CyclicArray.from_rowmasks(
-        [(value >> (i * t)) & full for i in range(r)], t
-    )
-
-
 def canonical2d(a: CyclicArray) -> CyclicArray:
     """The least 2D rotation of a under the packed integer order."""
     best = min(p for p, _, _ in _packed_shifts(a))
-    return _unpack(best, a.rows, a.cols)
+    return CyclicArray._wrap(best, a.rows, a.cols)
 
 
 @dataclass(frozen=True)
@@ -296,7 +285,7 @@ def _closure_verdict(code: ArrayCode):
 def _window_keys(a: CyclicArray, n: int, m: int):
     """window_key(a, i, j, n, m) for every anchor (i, j), row-major.
 
-    Each row mask is reversed (cell 0 most significant) and repeated out
+    Each row string, read with cell 0 most significant, is repeated out
     to t + m - 1 cells once, so the m-bit slice at column j is one shift
     and mask. The n*m-bit key of each column then rolls down the rows,
     one slice in at the bottom and one out at the top.
@@ -306,8 +295,8 @@ def _window_keys(a: CyclicArray, n: int, m: int):
     drop = copies * t - (t + m - 1)
     low = (1 << m) - 1
     slices = []
-    for mask in a.rowmasks:
-        ext = int(format(mask, f"0{t}b")[::-1] * copies, 2) >> drop
+    for row in a.row_strings():
+        ext = int(row * copies, 2) >> drop
         slices.append([(ext >> s) & low for s in range(t - 1, -1, -1)])
     full = (1 << (n * m)) - 1
     keys = [0] * t

@@ -193,19 +193,19 @@ def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, words):
     of t (cycle, shift, complement) columns: column c of the array is
     cycle i of pf turned up by j, complemented when the flag is set.
 
-    Columns are packed with cell u at bit u*t, so an array's packed form
-    is the OR of its columns shifted into place. Words are consumed one
-    at a time and collapsed to their canonical 2D rotation; enumerated
-    words are never plain vertical shifts of one another (the first
-    column is pinned at its zero state), so these classes coincide with
-    equality up to arbitrary 2D rotation.
+    Columns are packed with cell u at bit u*t, so an array's packed form,
+    the integer that is the array, is the OR of its columns shifted into
+    place. Words are consumed one at a time and collapsed to their
+    canonical 2D rotation; enumerated words are never plain vertical
+    shifts of one another (the first column is pinned at its zero
+    state), so these classes coincide with equality up to arbitrary 2D
+    rotation.
     """
     n, r = pf.order, 1 << pf.subdegree
     if n * ell > 24:
         raise ValueError("window size capped at 24 bits")
-    row = (1 << t) - 1
     full = (1 << (r * t)) - 1
-    ones = full // row  # bit u*t for every row u
+    ones = full // ((1 << t) - 1)  # bit u*t for every row u
     columns = {}
     for i, cycle in enumerate(pf.cycles):
         base = sum(cycle.bits[u] << (u * t) for u in range(r))
@@ -218,11 +218,7 @@ def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, words):
         packed = 0
         for c, key in enumerate(word):
             packed |= columns[key] << c
-        a = canonical2d(
-            CyclicArray.from_rowmasks(
-                [(packed >> (u * t)) & row for u in range(r)], t
-            )
-        )
+        a = canonical2d(CyclicArray._wrap(packed, r, t))
         classes.setdefault(a.packed(), a)
     arrays = tuple(classes[key] for key in sorted(classes))
 
@@ -357,7 +353,8 @@ def construct_db_pmc_direct(
         if odd:
             j = (odd & -odd).bit_length() - 1
             raise PreconditionError(f"array {idx} column {j} has odd weight")
-        bases.append(tuple(accumulate(a.rowmasks[:-1], xor, initial=0)))
+        base = accumulate(a.rowmasks[:-1], xor, initial=0)
+        bases.append(CyclicArray.from_rowmasks(base, t).packed())
     if seed_poly is not None:
         if seed_poly.degree != m:
             raise PreconditionError(
@@ -367,13 +364,12 @@ def construct_db_pmc_direct(
     else:
         selector = debruijn_sequence(m)
 
+    every_row = ((1 << (r * t)) - 1) // ((1 << t) - 1)  # bit u*t per row u
     arrays = []
     for q in range(t):
         choice = sum(b << j for j, b in enumerate(shift(selector, q).bits))
-        arrays.extend(
-            CyclicArray.from_rowmasks([row ^ choice for row in base], t)
-            for base in bases
-        )
+        spread = choice * every_row
+        arrays.extend(CyclicArray._wrap(b ^ spread, r, t) for b in bases)
     claimed = t * len(code.arrays)
     out = ArrayCode("DBAC", r, t, n + 1, code.m, tuple(arrays))
     rep = verify(out)

@@ -16,6 +16,11 @@ from .gf2poly import Gf2Poly, is_irreducible, mul, pow_x_mod
 from .lfsr import CyclicSequence, _minimal_period
 
 
+# Largest r*t that fold builds.  The longest register cycle has 2^24 - 1
+# states, so a larger array would only repeat its sequence.
+_MAX_CELLS = 1 << 24
+
+
 def _check_coprime(r: int, t: int) -> None:
     if r < 1 or t < 1:
         raise ValueError("dimensions must be positive")
@@ -30,38 +35,32 @@ _FROM_TEXT = bytes.maketrans(b"01", b"\x00\x01")
 # cell (i, (i + kr) mod t).  Turned left by i, that row is the gather
 # row'[kr mod t] = seq[i + kr], the same column order for every row.
 # Read as t chunks of r positions, chunk k of the sequence is column k
-# of the gathers, so the gather is one reorder of whole chunks and the
-# rows are strided slices: no per-cell work.
+# of the gathers, so the gather is one reorder of whole chunks.  Taken
+# last column first, each row comes out with column 0 least significant;
+# over two copies of the gathers, each row turned back is one strided
+# slice, and the rows, last to first, are the digits of the packed value.
 
 
 def fold(s: CyclicSequence, r: int, t: int) -> CyclicArray:
-    """Write s down the diagonals of an r x t array.
+    """Write s down the diagonals of an r x t array of at most 2^24 cells.
 
     The period of s must divide rt; a shorter period is extended
     periodically.
     """
     _check_coprime(r, t)
+    size = r * t
+    if size > _MAX_CELLS:
+        raise ValueError(f"{r}x{t} array exceeds the cap of 2^24 cells")
     L = len(s)
-    if (r * t) % L != 0:
+    if size % L != 0:
         raise ValueError(f"period {L} does not divide {r}x{t}")
-    if t == 1:  # row i is the one cell s[i]
-        return CyclicArray.from_rowmasks(bytes(s.bits) * (r // L), 1)
-    text = bytes(s.bits).translate(_TO_TEXT) * (r * t // L)
-    if r == 1:  # the one row is the sequence itself
-        return CyclicArray.from_rowmasks((int(text[::-1], 2),), t)
+    text = bytes(s.bits).translate(_TO_TEXT) * (size // L)
     rinv = pow(r, -1, t)
-    # columns last to first, so each row comes out reversed (column 0
-    # least significant) and turning it back by i is a left rotation
-    turned = b"".join(
-        text[q * r : q * r + r]
-        for q in (j * rinv % t for j in range(t - 1, -1, -1))
-    )
-    rows = []
-    for i in range(r):
-        row = turned[i::r]
-        c = i % t
-        rows.append(int(row[c:] + row[:c], 2))
-    return CyclicArray.from_rowmasks(rows, t)
+    chunks = [j * rinv % t * r for j in range(t - 1, -1, -1)]
+    gathers = b"".join([text[k : k + r] for k in chunks]) * 2
+    starts = [i % t * r + i for i in range(r - 1, -1, -1)]
+    digits = b"".join([gathers[k : k + size : r] for k in starts])
+    return CyclicArray._wrap(int(digits, 2), r, t)
 
 
 def unfold(a: CyclicArray) -> CyclicSequence:

@@ -23,6 +23,17 @@ __all__ = [
 ]
 
 
+# Largest degree parse accepts, so that every query on a parsed
+# polynomial ends in milliseconds and x^99999999999+1 forms no mask.
+_MAX_PARSE_DEGREE = 32
+
+
+def _capped(d: int) -> int:
+    if d > _MAX_PARSE_DEGREE:
+        raise ValueError(f"degree {d} is above the cap of {_MAX_PARSE_DEGREE}")
+    return d
+
+
 class Gf2Poly:
     """A polynomial over GF(2), identified by its coefficient bitmask.
 
@@ -53,13 +64,17 @@ class Gf2Poly:
     def parse(cls, text: str) -> "Gf2Poly":
         """Parse a hex mask ("0x13") or a human form ("x^4+x+1").
 
-        Whitespace is ignored anywhere in the string.
+        Whitespace is ignored anywhere in the string.  A degree above 32
+        is refused.
         """
         s = "".join(text.split()).lower()
         if not s:
             raise ValueError("empty polynomial string")
         if s.startswith("0x"):
-            return cls(int(s, 16))
+            # a hex mask is no longer than its text, so it is formed first
+            mask = int(s, 16)
+            _capped(mask.bit_length() - 1)
+            return cls(mask)
         if s == "0":
             return cls(0)
         mask = 0
@@ -69,7 +84,7 @@ class Gf2Poly:
             elif term == "x":
                 mask ^= 2
             elif term.startswith("x^") and term[2:].isdigit():
-                mask ^= 1 << int(term[2:])
+                mask ^= 1 << _capped(int(term[2:]))
             else:
                 raise ValueError(f"cannot parse polynomial term {term!r}")
         return cls(mask)

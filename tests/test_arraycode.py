@@ -219,6 +219,86 @@ def test_row_strings_match_per_cell_oracle(r, t, rng):
     assert CyclicArray(a.row_strings()) == a
 
 
+def test_equal_packed_values_of_different_shapes_differ():
+    pairs = [
+        (CyclicArray(["000"]), CyclicArray(["000", "000"])),
+        (CyclicArray(["000000"]), CyclicArray(["000", "000"])),
+        (CyclicArray(["1000"]), CyclicArray(["10", "00"])),
+        (CyclicArray(["1", "0"]), CyclicArray(["10"])),
+    ]
+    for a, b in pairs:
+        assert a.packed() == b.packed()
+        assert a != b
+        assert hash(a) != hash(b)
+        assert len({a, b}) == 2
+
+
+@st.composite
+def grids(draw, shape=None):
+    """A grid of bits, list of rows, of a drawn shape r, t >= 1."""
+    r, t = shape or (draw(st.integers(1, 7)), draw(st.integers(1, 9)))
+    bits = st.lists(st.integers(0, 1), min_size=t, max_size=t)
+    return [draw(bits) for _ in range(r)]
+
+
+def assert_matches_grid(a, grid):
+    """a holds grid, read cell by cell and through every other view."""
+    r, t = len(grid), len(grid[0])
+    assert (a.rows, a.cols) == (r, t)
+    for i in range(-r, 2 * r):
+        for j in range(-t, 2 * t):
+            assert a.cell(i, j) == grid[i % r][j % t]
+    assert a.packed() == sum(
+        bit << (i * t + j)
+        for i, row in enumerate(grid)
+        for j, bit in enumerate(row)
+    )
+    assert a.rowmasks == tuple(
+        sum(bit << j for j, bit in enumerate(row)) for row in grid
+    )
+    assert a.row_strings() == ["".join(map(str, row)) for row in grid]
+    assert a.weight() == sum(map(sum, grid))
+    assert CyclicArray(a.row_strings()) == a
+    assert CyclicArray.from_rowmasks(a.rowmasks, t) == a
+
+
+def shifted_grid(grid, dv, dh):
+    r, t = len(grid), len(grid[0])
+    return [
+        [grid[(i - dv) % r][(j - dh) % t] for j in range(t)]
+        for i in range(r)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(-20, 20), st.integers(-20, 20))
+def test_packed_arrays_match_per_cell_oracles(data, dv, dh):
+    grid = data.draw(grids())
+    r, t = len(grid), len(grid[0])
+    other = data.draw(grids((r, t)))
+    a = CyclicArray(["".join(map(str, row)) for row in grid])
+    assert_matches_grid(a, grid)
+    assert CyclicArray(grid) == a
+    assert_matches_grid(CyclicArray(grid), grid)
+    masks = [sum(bit << j for j, bit in enumerate(row)) for row in grid]
+    assert_matches_grid(CyclicArray.from_rowmasks(masks, t), grid)
+    assert_matches_grid(shift2d(a, dv, dh), shifted_grid(grid, dv, dh))
+    assert_matches_grid(
+        add2d(a, CyclicArray(other)),
+        [[x ^ y for x, y in zip(u, v)] for u, v in zip(grid, other)],
+    )
+    # the canonical form is the rotation whose cells, read from the last
+    # cell to cell (0, 0), form the least binary number
+    rotations = [
+        shifted_grid(grid, v, h) for v in range(r) for h in range(t)
+    ]
+    least = min(
+        rotations,
+        key=lambda g: "".join(str(bit) for row in g for bit in row)[::-1],
+    )
+    assert_matches_grid(canonical2d(a), least)
+
+
 def test_cell_wraps_both_ways():
     a = FOLDPR
     assert a.cell(0, 0) == 0 and a.cell(0, 1) == 1

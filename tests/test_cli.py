@@ -1,9 +1,13 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import foldcodes
 from foldcodes.cli import run
 
 
@@ -553,6 +557,74 @@ def test_poly_info(capsys):
     out = capsys.readouterr().out
     assert out.splitlines() == ["x^4+x+1", "x^4+x^3+1"]
     assert run(["poly"]) == 2
+
+
+def _one_line_error(capsys, *parts):
+    """The command wrote nothing to stdout and one error line to stderr."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    for part in parts:
+        assert part in err
+
+
+@pytest.mark.parametrize(
+    "poly", ["x^99999999999+1", "x^61+x^5+x^2+x+1", "0x1" + "0" * 20]
+)
+def test_poly_above_the_degree_cap_is_refused(capsys, poly):
+    assert run(["poly", "--poly", poly]) == 2
+    _one_line_error(capsys, f"bad polynomial {poly!r}", "cap of 32")
+
+
+def test_every_polynomial_flag_is_capped(tmp_path, capsys):
+    big = "x^33+x+1"
+    doc = tmp_path / "code.json"
+    doc.write_text(
+        json.dumps(
+            {"kind": "DBAC", "r": 4, "t": 2, "n": 3, "m": 1,
+             "arrays": [["00", "01", "10", "11"]]}
+        )
+    )
+    for argv in [
+        ["fold", "--poly", big, "--r", "3", "--t", "5"],
+        ["construct", "prac-fold", "--poly", big, "--n", "3", "--m", "11"],
+        ["construct", "db-direct", "--input", str(doc), "--m", "1",
+         "--seed-poly", big],
+        ["experiment", "product-fold", "--f", big, "--g", "x^4+x+1",
+         "--r", "3", "--t", "5", "--n", "4", "--m", "2"],
+        ["experiment", "product-fold", "--f", "x^4+x+1", "--g", big,
+         "--r", "3", "--t", "5", "--n", "4", "--m", "2"],
+    ]:
+        assert run(argv) == 2
+        _one_line_error(capsys, f"bad polynomial {big!r}", "cap of 32")
+    assert run(["poly", "--poly", "x^32+x^7+x^3+x^2+1"]) == 0
+    assert "degree: 32" in capsys.readouterr().out
+
+
+def test_fold_above_the_cell_cap_is_refused(capsys):
+    argv = ["fold", "--poly", "x+1", "--r", "1000000007", "--t", "1000000009"]
+    assert run(argv) == 2
+    _one_line_error(capsys, "1000000007x1000000009", "cap of 2^24 cells")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "--poly", "x^99999999999+1"],
+        ["fold", "--poly", "x+1", "--r", "1000000007", "--t", "1000000009"],
+    ],
+)
+def test_oversized_input_exits_2_without_a_traceback(argv):
+    src = os.path.dirname(os.path.dirname(foldcodes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldcodes.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def test_poly_invalid_exponent_warns(capsys):

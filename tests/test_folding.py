@@ -120,6 +120,14 @@ def test_fold_errors():
         fold(CyclicSequence("0011"), 3, 5)
 
 
+def test_fold_refuses_more_than_2_to_the_24_cells():
+    # coprime shapes just above the cap, and one far above it that
+    # would ask for 10^18 cells; each is refused before any cell is built
+    for r, t in [(4096, 4097), (1, (1 << 24) + 1), (1000000007, 1000000009)]:
+        with pytest.raises(ValueError, match="cap of 2\\^24 cells"):
+            fold(CyclicSequence("1"), r, t)
+
+
 def test_fold_matches_oracle_random():
     rng = random.Random(29)
     shapes = [(1, 1), (1, 6), (2, 3), (3, 5), (4, 9), (5, 8), (7, 9)]
@@ -153,6 +161,17 @@ def test_fold_and_unfold_match_per_cell_oracles(case):
     s, r, t = case
     a = fold(s, r, t)
     assert a == fold_oracle(s, r, t)
+    assert (a.rows, a.cols) == (r, t)
+    for p in range(r * t):
+        assert a.cell(p % r, p % t) == s.bits[p % len(s)]
+    rows = a.row_strings()
+    assert CyclicArray(rows) == a
+    assert CyclicArray.from_rowmasks(a.rowmasks, t) == a
+    assert a.packed() == sum(
+        int(bit) << (i * t + j)
+        for i, row in enumerate(rows)
+        for j, bit in enumerate(row)
+    )
     back = unfold(a)
     assert back.bits == unfold_oracle(a).bits == s.bits
     assert back.canonical_bits == s.canonical_bits

@@ -88,6 +88,25 @@ def test_parse_rejects_garbage():
             P(bad)
 
 
+def test_parse_caps_the_degree_at_32():
+    assert P("x^32+x^7+x^3+x^2+1").degree == 32
+    assert P("0x1" + "0" * 8).degree == 32
+    assert P("0x" + "0" * 40 + "13").mask == 0b10011
+    # an exponent above the cap is refused before 1 << d is formed, so a
+    # short string cannot ask for a mask of 10^11 bits
+    for bad, d in [
+        ("x^33+x+1", 33),
+        ("x^99999999999+1", 99999999999),
+        ("x^61+x^5+x^2+x+1", 61),
+        ("x^0040+1", 40),
+        ("x^40+x^40+1", 40),
+        ("0x2" + "0" * 8, 33),
+        ("0x" + "f" * 30, 119),
+    ]:
+        with pytest.raises(ValueError, match=f"degree {d} is above the cap of 32"):
+            P(bad)
+
+
 def test_degree():
     assert Gf2Poly(0).degree is None
     assert Gf2Poly(1).degree == 0
