@@ -155,7 +155,7 @@ def window_key(a: CyclicArray, i: int, j: int, n: int, m: int) -> int:
 
 
 def _packed_shifts(a: CyclicArray):
-    """Yield the packed form of shift2d(a, dv, dh) for every (dv, dh).
+    """Yield the packed form of shift2d(a, dv, dh) for each dh, then dv.
 
     A horizontal rotation turns every row of the packed value at once,
     with one mask for the cells that wrap; vertical rotations are a
@@ -171,18 +171,14 @@ def _packed_shifts(a: CyclicArray):
         base = ((packed << dh) & (full ^ wrap)) | (
             (packed >> (t - dh)) & wrap
         )
-        for dv in range(r):
-            if dv == 0:
-                yield base, 0, dh
-            else:
-                k = dv * t
-                yield ((base << k) | (base >> (size - k))) & full, dv, dh
+        yield base
+        for k in range(t, size, t):
+            yield ((base << k) | (base >> (size - k))) & full
 
 
 def canonical2d(a: CyclicArray) -> CyclicArray:
     """The least 2D rotation of a under the packed integer order."""
-    best = min(p for p, _, _ in _packed_shifts(a))
-    return CyclicArray._wrap(best, a.rows, a.cols)
+    return CyclicArray._wrap(min(_packed_shifts(a)), a.rows, a.cols)
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,7 @@ class VerifyReport:
 
 def _positioned(code: ArrayCode) -> set:
     """The packed form of every 2D rotation of every array."""
-    return {p for a in code.arrays for p, _, _ in _packed_shifts(a)}
+    return set(chain.from_iterable(map(_packed_shifts, code.arrays)))
 
 
 def _check_closure(code: ArrayCode):
@@ -285,22 +281,23 @@ def _closure_verdict(code: ArrayCode):
 def _window_keys(a: CyclicArray, n: int, m: int):
     """window_key(a, i, j, n, m) for every anchor (i, j), row-major.
 
-    Each row string, read with cell 0 most significant, is repeated out
-    to t + m - 1 cells once, so the m-bit slice at column j is one shift
-    and mask. The n*m-bit key of each column then rolls down the rows,
-    one slice in at the bottom and one out at the top.
+    An m-bit key rolls along each row, one shift and one mask per cell,
+    and gives the row's slice at every column. The n*m-bit key of each
+    column then rolls down the rows, one slice in at the bottom and one
+    out at the top. A sequence's n-windows are its 1 x n windows.
     """
     r, t = a.rows, a.cols
-    copies = -(-(t + m - 1) // t)
-    drop = copies * t - (t + m - 1)
     low = (1 << m) - 1
     slices = []
     for row in a.row_strings():
-        ext = int(row * copies, 2) >> drop
-        slices.append([(ext >> s) & low for s in range(t - 1, -1, -1)])
+        key, keys = 0, []
+        for cell in (row * (m // t + 2))[: t + m - 1]:
+            key = ((key << 1) & low) | (cell == "1")
+            keys.append(key)
+        slices.append(keys[m - 1 :])
     full = (1 << (n * m)) - 1
-    keys = [0] * t
-    for u in range(n):
+    keys = slices[0]
+    for u in range(1, n):
         keys = [(k << m) | s for k, s in zip(keys, slices[u % r])]
     for i in range(r):
         yield from keys

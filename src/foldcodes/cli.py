@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .arraycode import _DIGITS, KINDS, ArrayCode, CyclicArray, verify
 from .constructions import (
@@ -39,9 +40,6 @@ from .gf2poly import (
     is_primitive,
 )
 from .lfsr import generate_cycles, verify_perfect_factor
-
-
-_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class _CliError(Exception):
@@ -154,10 +152,6 @@ def _doc_to_code(doc: dict, kind=None, n=None, m=None) -> ArrayCode:
     return ArrayCode(kind, r, t, n, m, tuple(arrays))
 
 
-def _bits_text(seq) -> str:
-    return bytes(seq.bits).translate(_TO_TEXT).decode()
-
-
 def _arrays_text(arrays) -> str:
     blocks = ["\n".join(a.row_strings()) for a in arrays]
     return "\n\n".join(blocks) + "\n"
@@ -193,7 +187,7 @@ def cmd_fold(args) -> int:
 
 def cmd_unfold(args) -> int:
     _, _, arrays = _doc_arrays(_load_document(args.input))
-    texts = [_bits_text(unfold(a)) for a in arrays]
+    texts = [unfold(a).digits() for a in arrays]
     if args.format == "json":
         _emit(_dump_json({"sequences": texts}), args.out)
     else:
@@ -291,7 +285,7 @@ def cmd_construct(args) -> int:
             "kind": "PF",
             "n": pf.order,
             "k": pf.subdegree,
-            "cycles": [_bits_text(c) for c in pf.cycles],
+            "cycles": [c.digits() for c in pf.cycles],
             "meta": {"construction": "pf", "verified": ok},
         }
         if args.format == "json":
@@ -497,11 +491,15 @@ _DISPATCH = {
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return _DISPATCH[args.command](args)
-    except (_CliError, ValueError, SearchExhausted, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return _DISPATCH[args.command](args)
+        except (_CliError, ValueError, SearchExhausted, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

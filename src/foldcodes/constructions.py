@@ -173,7 +173,7 @@ def perfect_factor(n: int, k: int, parity=None) -> PerfectFactor:
             CyclicSequence([s & 1 for s in states]).canonical()
             for states in cycles
         ),
-        key=lambda s: s.bits,
+        key=CyclicSequence.digits,
     )
     return PerfectFactor(n, k, tuple(members), (0,) * len(members))
 
@@ -186,6 +186,17 @@ def perfect_factor(n: int, k: int, parity=None) -> PerfectFactor:
 def _pf_checked(pf: PerfectFactor) -> None:
     if not verify_perfect_factor(pf):
         raise PreconditionError("input is not a valid perfect factor")
+
+
+def _columns(n: int, m: int, odd: bool) -> int:
+    """The l data columns of a composition, 2^m - 1 for pmc-odd and 2^m
+    for pmc-sd, refused unless the n x l window has at most 24 cells.
+    As l >= 2^(m - 1), an m above 5 is refused before 2^m is formed."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    if m > 5 or n * ((1 << m) - odd) > 24:
+        raise ValueError("window size capped at 24 bits")
+    return (1 << m) - odd
 
 
 def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, words):
@@ -202,13 +213,12 @@ def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, words):
     rotation.
     """
     n, r = pf.order, 1 << pf.subdegree
-    if n * ell > 24:
-        raise ValueError("window size capped at 24 bits")
     full = (1 << (r * t)) - 1
     ones = full // ((1 << t) - 1)  # bit u*t for every row u
     columns = {}
     for i, cycle in enumerate(pf.cycles):
-        base = sum(cycle.bits[u] << (u * t) for u in range(r))
+        # bit u of the cycle moves to bit u*t, t - 1 zero digits apart
+        base = int(("0" * (t - 1)).join(format(cycle.packed(), f"0{r}b")), 2)
         for j in range(r):
             col = ((base >> (j * t)) | (base << ((r - j) * t))) & full
             columns[i, j, 0] = col
@@ -258,9 +268,7 @@ def construct_pmc_odd(pf: PerfectFactor, m: int) -> ConstructionReport:
     """
     _pf_checked(pf)
     n, k = pf.order, pf.subdegree
-    if m < 1:
-        raise ValueError("m must be positive")
-    ell = (1 << m) - 1
+    ell = _columns(n, m, odd=True)
     size_exp = n * ell - k - m
     if size_exp < 0:
         raise PreconditionError(
@@ -292,9 +300,7 @@ def construct_pmc_sd(pf: PerfectFactor, m: int) -> ConstructionReport:
     """
     _pf_checked(pf)
     n, k = pf.order, pf.subdegree
-    if m < 1:
-        raise ValueError("m must be positive")
-    ell = 1 << m
+    ell = _columns(n, m, odd=False)
     size_exp = n * ell - k - m - 1
     if size_exp < 0:
         raise PreconditionError(
@@ -332,7 +338,8 @@ def construct_db_pmc_direct(
     Experimental: the verdict is the oracle's, not assumed.
     """
     r, t, n = code.r, code.t, code.n
-    if m < 1 or t != (1 << m):
+    # t = 2^m is tested by its bits, so 2^m is never formed
+    if m < 1 or t & (t - 1) or t.bit_length() != m + 1:
         raise PreconditionError(
             f"column count {t} is not 2^m for m={m}"
         )
@@ -367,8 +374,7 @@ def construct_db_pmc_direct(
     every_row = ((1 << (r * t)) - 1) // ((1 << t) - 1)  # bit u*t per row u
     arrays = []
     for q in range(t):
-        choice = sum(b << j for j, b in enumerate(shift(selector, q).bits))
-        spread = choice * every_row
+        spread = shift(selector, q).packed() * every_row
         arrays.extend(CyclicArray._wrap(b ^ spread, r, t) for b in bases)
     claimed = t * len(code.arrays)
     out = ArrayCode("DBAC", r, t, n + 1, code.m, tuple(arrays))

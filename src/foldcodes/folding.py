@@ -13,7 +13,7 @@ from math import gcd
 
 from .arraycode import CyclicArray
 from .gf2poly import Gf2Poly, is_irreducible, mul, pow_x_mod
-from .lfsr import CyclicSequence, _minimal_period
+from .lfsr import CyclicSequence
 
 
 # Largest r*t that fold builds.  The longest register cycle has 2^24 - 1
@@ -27,9 +27,6 @@ def _check_coprime(r: int, t: int) -> None:
     if gcd(r, t) != 1:
         raise ValueError(f"dimensions {r} and {t} are not coprime")
 
-
-_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
-_FROM_TEXT = bytes.maketrans(b"01", b"\x00\x01")
 
 # Row i of the folded array holds the positions p = i + kr, k < t, in
 # cell (i, (i + kr) mod t).  Turned left by i, that row is the gather
@@ -54,12 +51,12 @@ def fold(s: CyclicSequence, r: int, t: int) -> CyclicArray:
     L = len(s)
     if size % L != 0:
         raise ValueError(f"period {L} does not divide {r}x{t}")
-    text = bytes(s.bits).translate(_TO_TEXT) * (size // L)
+    text = s.digits() * (size // L)
     rinv = pow(r, -1, t)
     chunks = [j * rinv % t * r for j in range(t - 1, -1, -1)]
-    gathers = b"".join([text[k : k + r] for k in chunks]) * 2
+    gathers = "".join([text[k : k + r] for k in chunks]) * 2
     starts = [i % t * r + i for i in range(r - 1, -1, -1)]
-    digits = b"".join([gathers[k : k + size : r] for k in starts])
+    digits = "".join([gathers[k : k + size : r] for k in starts])
     return CyclicArray._wrap(int(digits, 2), r, t)
 
 
@@ -71,8 +68,7 @@ def unfold(a: CyclicArray) -> CyclicSequence:
         row[i % t :] + row[: i % t] for i, row in enumerate(a.row_strings())
     )
     text = "".join(turned[q * r % t :: t] for q in range(t))
-    bits = text.encode().translate(_FROM_TEXT)
-    return CyclicSequence._known(tuple(bits[: _minimal_period(bits)]))
+    return CyclicSequence._reduced(int(text[::-1], 2), r * t)
 
 
 def window_positions(r: int, t: int, n: int, m: int) -> frozenset:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arraycode import CyclicArray, _window_keys
 from .gf2poly import Gf2Poly, _prime_factors, exponent, is_irreducible
 
 __all__ = [
@@ -34,18 +35,23 @@ __all__ = [
 ]
 
 
-def _minimal_period(bits: tuple) -> int:
+def _turn(value: int, k: int, n: int) -> int:
+    """The n-bit value turned so that bit p of the result is bit p + k."""
+    return ((value >> k) | (value << (n - k))) & ((1 << n) - 1)
+
+
+def _minimal_period(value: int, n: int) -> int:
     # The periods of a cyclic sequence that divide its length n are the
     # multiples of the minimal one, so d/p is tested for each prime p | n,
     # starting from d = n, and p divided out while d/p is still a period.
-    n = d = len(bits)
+    d = n
     for p in _prime_factors(n):
-        while d % p == 0 and bits[: d // p] * (n * p // d) == bits:
+        while d % p == 0 and _turn(value, d // p, n) == value:
             d //= p
     return d
 
 
-def _least_rotation(s: tuple) -> int:
+def _least_rotation(s: str) -> int:
     # Booth's algorithm: index of the lexicographically least rotation.
     d = s + s
     n = len(s)
@@ -68,18 +74,20 @@ def _least_rotation(s: tuple) -> int:
 
 
 _BITS = frozenset((0, 1))
+_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class CyclicSequence:
     """One periodic binary sequence, stored at its minimal period.
 
-    The constructor reduces the supplied bits to their minimal period but
-    keeps the supplied phase (bits[0] stays first).  Equality and hashing
-    identify rotations of each other; ``canonical()`` returns the
-    lexicographically least rotation.
+    It is one integer, bit p holding s_p, and its length L: the packed
+    form of its 1 x L (or L x 1) array. ``bits`` is a tuple derived from
+    it. The constructor reduces the supplied bits to their minimal period
+    but keeps the supplied phase (bits[0] stays first).  Equality and
+    hashing identify rotations; ``canonical()`` is the least rotation.
     """
 
-    __slots__ = ("bits", "_canon")
+    __slots__ = ("_value", "_len", "_canon")
 
     def __init__(self, bits):
         bits = tuple(map(int, bits))
@@ -87,52 +95,65 @@ class CyclicSequence:
             raise ValueError("a cyclic sequence needs at least one bit")
         if not _BITS.issuperset(bits):
             raise ValueError("bits must be 0 or 1")
-        self.bits = bits[: _minimal_period(bits)]
-        self._canon = None
+        value = int(bytearray(bits).translate(_TO_TEXT)[::-1], 2)
+        d = _minimal_period(value, len(bits))
+        self._value, self._len, self._canon = value & ((1 << d) - 1), d, None
 
     @classmethod
-    def _known(cls, bits: tuple, canonical: bool = False):
-        # Internal: bits are 0/1 ints already at their minimal period
-        # (and at their least rotation when canonical), so nothing is
-        # validated or recomputed.
+    def _known(cls, value: int, length: int, canon=None):
+        # Internal: value holds length bits already at their minimal
+        # period; canon, when given, is the value of the least rotation.
         obj = object.__new__(cls)
-        obj.bits = bits
-        obj._canon = bits if canonical else None
+        obj._value, obj._len, obj._canon = value, length, canon
         return obj
 
+    @classmethod
+    def _reduced(cls, value: int, length: int):
+        # Internal: the length-bit value reduced to its minimal period.
+        d = _minimal_period(value, length)
+        return cls._known(value & ((1 << d) - 1), d)
+
+    def packed(self) -> int:
+        """All bits in one integer, bit p holding s_p."""
+        return self._value
+
+    def digits(self) -> str:
+        """The bits as a string of binary digits, s_0 first."""
+        return format(self._value, f"0{self._len}b")[::-1]
+
     @property
-    def canonical_bits(self) -> tuple:
-        if self._canon is None:
-            k = _least_rotation(self.bits)
-            self._canon = self.bits[k:] + self.bits[:k]
-        return self._canon
+    def bits(self) -> tuple:
+        return tuple(map(int, self.digits()))
 
     def canonical(self) -> "CyclicSequence":
         """This sequence rotated to its lexicographically least phase."""
-        return CyclicSequence._known(self.canonical_bits, canonical=True)
+        if self._canon is None:
+            k = _least_rotation(self.digits())
+            self._canon = _turn(self._value, k, self._len)
+        return CyclicSequence._known(self._canon, self._len, self._canon)
 
     @property
     def weight(self) -> int:
-        return sum(self.bits)
+        return self._value.bit_count()
 
     def __len__(self):
-        return len(self.bits)
+        return self._len
 
     def __eq__(self, other):
         return (
             isinstance(other, CyclicSequence)
-            and len(self.bits) == len(other.bits)
-            and self.canonical_bits == other.canonical_bits
+            and self._len == other._len
+            and self.canonical()._value == other.canonical()._value
         )
 
     def __hash__(self):
-        return hash(("CyclicSequence", self.canonical_bits))
+        return hash(("CyclicSequence", self._len, self.canonical()._value))
 
     def __str__(self):
-        return "[" + "".join(map(str, self.bits)) + "]"
+        return f"[{self.digits()}]"
 
     def __repr__(self):
-        return f"CyclicSequence({''.join(map(str, self.bits))!r})"
+        return f"CyclicSequence({self.digits()!r})"
 
 
 ZERO_SEQUENCE = CyclicSequence([0])
@@ -203,8 +224,10 @@ def generate_cycles(f: Gf2Poly) -> SequenceFamily:
             seen[state] = 1
             bits.append(state >> top)
             state = ((state << 1) & low) | ((state & taps).bit_count() & 1)
-        cycles.append(CyclicSequence._known(tuple(bits), canonical=True))
-    cycles.sort(key=lambda c: c.bits)
+        value = int(bytearray(bits).translate(_TO_TEXT)[::-1], 2)
+        cycles.append(CyclicSequence._known(value, len(bits), value))
+    # the digits order the members as their bit tuples would
+    cycles.sort(key=CyclicSequence.digits)
     lengths = {len(c) for c in cycles}
     return SequenceFamily(
         order=n,
@@ -227,32 +250,18 @@ def m_sequence(f: Gf2Poly) -> CyclicSequence:
     return generate_cycles(f).members[0]
 
 
-def _window_keys(seq: CyclicSequence, n: int):
-    """The n-window at every position of seq, first bit most significant.
-
-    The key rolls along the sequence: one shift and mask per position.
-    """
-    bits = seq.bits
-    ext = bits * (n // len(bits) + 2)
-    full = (1 << n) - 1
-    w = 0
-    for b in ext[: n - 1]:
-        w = (w << 1) | b
-    for b in ext[n - 1 : n - 1 + len(bits)]:
-        w = ((w << 1) & full) | b
-        yield w
+def _windows(seqs, n: int):
+    """The n-window at every position of every sequence, first bit most
+    significant: the 1 x n windows of each sequence as a 1 x L array."""
+    for s in seqs:
+        yield from _window_keys(CyclicArray._wrap(s.packed(), 1, len(s)), 1, n)
 
 
 def verify_zero_factor(fam: SequenceFamily) -> bool:
     """True iff the n-windows across members are exactly the nonzero n-tuples."""
     n = fam.order
-    seen = set()
-    for s in fam.members:
-        for w in _window_keys(s, n):
-            if w == 0 or w in seen:
-                return False
-            seen.add(w)
-    return len(seen) == (1 << n) - 1
+    keys = list(_windows(fam.members, n))
+    return 0 not in keys and len(set(keys)) == len(keys) == (1 << n) - 1
 
 
 def verify_perfect_factor(pf: PerfectFactor) -> bool:
@@ -262,20 +271,14 @@ def verify_perfect_factor(pf: PerfectFactor) -> bool:
         return False
     if any(len(c) != 1 << k for c in pf.cycles):
         return False
-    seen = set()
-    for c in pf.cycles:
-        for w in _window_keys(c, n):
-            if w in seen:
-                return False
-            seen.add(w)
-    return len(seen) == 1 << n
+    keys = list(_windows(pf.cycles, n))
+    return len(set(keys)) == len(keys) == 1 << n
 
 
 def shift(s: CyclicSequence, i: int) -> CyclicSequence:
     """E^i applied to s: position p of the result is s_{p+i}."""
-    L = len(s.bits)
-    i %= L
-    return CyclicSequence(s.bits[i:] + s.bits[:i])
+    L = len(s)
+    return CyclicSequence._known(_turn(s.packed(), i % L, L), L, s._canon)
 
 
 def add_seq(s: CyclicSequence, u: CyclicSequence) -> CyclicSequence:
@@ -284,34 +287,30 @@ def add_seq(s: CyclicSequence, u: CyclicSequence) -> CyclicSequence:
     Lengths must be equal, or one period must divide the other (the
     shorter sequence is expanded to the common length).
     """
-    a, b = s.bits, u.bits
-    if len(a) % len(b) == 0:
-        b = b * (len(a) // len(b))
-    elif len(b) % len(a) == 0:
-        a = a * (len(b) // len(a))
+    a, b, la, lb = s.packed(), u.packed(), len(s), len(u)
+    # v * (2^L - 1) / (2^l - 1) repeats the l bits of v out to L bits
+    if la % lb == 0:
+        b *= ((1 << la) - 1) // ((1 << lb) - 1)
+    elif lb % la == 0:
+        a *= ((1 << lb) - 1) // ((1 << la) - 1)
     else:
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return CyclicSequence(x ^ y for x, y in zip(a, b))
+        raise ValueError(f"length mismatch: {la} vs {lb}")
+    return CyclicSequence._reduced(a ^ b, max(la, lb))
 
 
 def shift_and_add_check(s: CyclicSequence) -> bool:
     """True iff s + E^i s is a rotation of s for every i in 1..len-1."""
-    text = "".join(map(str, s.bits))
-    L = len(text)
-    doubled = text + text
-    base = int(text, 2)
-    for i in range(1, L):
-        rotated = int(doubled[i : i + L], 2)
-        if format(base ^ rotated, f"0{L}b") not in doubled:
-            return False
-    return True
+    v, L, doubled = s.packed(), len(s), s.digits() * 2
+    return all(
+        format(v ^ _turn(v, i, L), f"0{L}b")[::-1] in doubled
+        for i in range(1, L)
+    )
 
 
 def d_morphism(s: CyclicSequence) -> CyclicSequence:
     """The derivative D: position i of the result is s_i + s_{i+1}."""
-    b = s.bits
-    L = len(b)
-    return CyclicSequence(b[i] ^ b[(i + 1) % L] for i in range(L))
+    v, L = s.packed(), len(s)
+    return CyclicSequence._reduced(v ^ _turn(v, 1, L), L)
 
 
 def d_inverse_bits(bits, choice: int) -> tuple:
@@ -336,14 +335,16 @@ def d_inverse(s: CyclicSequence, choice: int) -> CyclicSequence:
     two choices are complements).  Odd weight: the period-2*len(s) preimage
     (prefix sums wrap with a complement).  D(d_inverse(s, b)) = s always.
     """
-    b = s.bits
-    L = len(b)
-    if sum(b) % 2 == 0:
-        return CyclicSequence(d_inverse_bits(b, choice))
-    out = [int(choice)]
-    for i in range(2 * L - 1):
-        out.append(out[-1] ^ b[i % L])
-    return CyclicSequence(out)
+    v, L = s.packed(), len(s)
+    if s.weight % 2:
+        v, L = v | v << L, 2 * L
+    # position i + 1 of the preimage is choice plus the prefix sum
+    # s_0 + ... + s_i, and log2(L) doubling steps give every prefix sum
+    for j in range((L - 1).bit_length()):
+        v ^= v << (1 << j)
+    full = (1 << L) - 1
+    v = (v << 1) & full
+    return CyclicSequence._reduced(v ^ full if choice else v, L)
 
 
 def weight_parity(s: CyclicSequence) -> str:
@@ -378,4 +379,4 @@ def debruijn_from_primitive(f: Gf2Poly) -> CyclicSequence:
     The canonical M-sequence starts with its run of deg(f)-1 zeros, so one
     prepended zero completes the run to length deg(f).
     """
-    return CyclicSequence((0,) + m_sequence(f).bits)
+    return CyclicSequence._reduced(m_sequence(f).packed() << 1, 1 << f.degree)

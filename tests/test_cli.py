@@ -607,6 +607,16 @@ def test_fold_above_the_cell_cap_is_refused(capsys):
     _one_line_error(capsys, "1000000007x1000000009", "cap of 2^24 cells")
 
 
+def _cli(*argv, cwd=None):
+    """foldcodes run as a command in a fresh process."""
+    src = os.path.dirname(os.path.dirname(foldcodes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "foldcodes.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60, cwd=cwd,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -615,22 +625,51 @@ def test_fold_above_the_cell_cap_is_refused(capsys):
     ],
 )
 def test_oversized_input_exits_2_without_a_traceback(argv):
-    src = os.path.dirname(os.path.dirname(foldcodes.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "foldcodes.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _cli(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: ")
 
 
+WARNING_LINE = (
+    "warning: exponent 7 does not divide 2^4-1; no degree-4 irreducible "
+    "polynomial has it\n"
+)
+
+
 def test_poly_invalid_exponent_warns(capsys):
-    with pytest.warns(UserWarning):
-        assert run(["poly", "--degree", "4", "--exponent", "7"]) == 0
-    assert capsys.readouterr().out == ""
+    assert run(["poly", "--degree", "4", "--exponent", "7"]) == 0
+    assert capsys.readouterr() == ("", WARNING_LINE)
+    proc = _cli("poly", "--degree", "4", "--exponent", "7")
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert proc.stderr == WARNING_LINE
+
+
+def test_experiment_warning_is_one_stderr_line():
+    proc = _cli(
+        "experiment", "exponent-family", "--deg", "4", "--e", "7",
+        "--r", "7", "--t", "1", "--n", "2", "--m", "2",
+    )
+    assert (proc.returncode, proc.stdout) == (0, "\n")
+    assert proc.stderr == WARNING_LINE
+
+
+def test_huge_m_is_refused_before_2_to_the_m(tmp_path):
+    base = str(tmp_path / "b.json")
+    argv = ["construct", "pmc-sd", "--n", "5", "--k", "3", "--m", "1"]
+    assert run([*argv, "--format", "json", "--out", base]) == 0
+    huge = "100000000000"
+    capped = "window size capped at 24 bits"
+    not_2m = f"column count 4 is not 2^m for m={huge}"
+    for argv, message in [
+        (["pmc-odd", "--n", "3", "--k", "2"], capped),
+        (["pmc-sd", "--n", "3", "--k", "2"], capped),
+        (["db-direct", "--input", base], not_2m),
+    ]:
+        proc = _cli("construct", *argv, "--m", huge, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr == f"error: {message}\n"
 
 
 def test_json_output_is_deterministic(capsys):

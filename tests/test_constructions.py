@@ -216,6 +216,9 @@ def test_pmc_odd_rejections():
     assert "m >= k" in str(exc.value)
     with pytest.raises(ValueError):
         construct_pmc_odd(perfect_factor(4, 4), 3)  # 4*7 > 24
+    # the cap is checked before 2^m is formed
+    with pytest.raises(ValueError, match="capped at 24 bits"):
+        construct_pmc_odd(perfect_factor(3, 2), 10**11)
     broken = PerfectFactor(2, 2, (CyclicSequence("0101"),), (0,))
     with pytest.raises(PreconditionError):
         construct_pmc_odd(broken, 2)
@@ -290,6 +293,10 @@ def test_pmc_sd_rejections():
     assert "degenerate" in str(exc.value)
     with pytest.raises(ValueError):
         construct_pmc_sd(perfect_factor(4, 4), 3)  # 4*8 > 24
+    with pytest.raises(ValueError, match="capped at 24 bits"):
+        construct_pmc_sd(perfect_factor(3, 2), 10**11)
+    with pytest.raises(ValueError, match="capped at 24 bits"):
+        construct_pmc_sd(perfect_factor(1, 1), 5)  # 1*32 > 24
 
 
 # ---------------------------------------------------------------------
@@ -327,9 +334,10 @@ def _literal_composition(pf, m, which):
     canonical 2D rotations (packed)."""
     r = 1 << pf.subdegree
     classes = set()
+    cycles = [c.bits for c in pf.cycles]
     for word in _literal_words(pf, m, which):
         cols = [
-            tuple(pf.cycles[i].bits[(u + j) % r] ^ bar for u in range(r))
+            tuple(cycles[i][(u + j) % r] ^ bar for u in range(r))
             for i, j, bar in word
         ]
         a = CyclicArray([[col[u] for col in cols] for u in range(r)])
@@ -434,9 +442,10 @@ def test_db_direct_seed_poly(base_8452):
 
 
 def test_db_direct_rejections(base_8452):
-    # column count must be 2^m
-    with pytest.raises(PreconditionError):
-        construct_db_pmc_direct(base_8452, 1)
+    # column count must be 2^m, which is tested without forming 2^m
+    for m in (1, 3, 10**11):
+        with pytest.raises(PreconditionError, match="not 2\\^m"):
+            construct_db_pmc_direct(base_8452, m)
     prac = construct_prac_fold(SIII_POLY, 2, 3).produced
     with pytest.raises(PreconditionError):
         construct_db_pmc_direct(prac, 2)

@@ -35,9 +35,9 @@ SIII_F = P("x^6+x^5+x^4+x^2+1")
 
 
 def fold_oracle(s, r, t):
-    cells = {}
+    cells, bits = {}, s.bits
     for p in range(r * t):
-        cells[(p % r, p % t)] = s.bits[p % len(s)]
+        cells[(p % r, p % t)] = bits[p % len(s)]
     return CyclicArray(
         [[cells[(i, j)] for j in range(t)] for i in range(r)]
     )
@@ -162,8 +162,9 @@ def test_fold_and_unfold_match_per_cell_oracles(case):
     a = fold(s, r, t)
     assert a == fold_oracle(s, r, t)
     assert (a.rows, a.cols) == (r, t)
+    bits = s.bits
     for p in range(r * t):
-        assert a.cell(p % r, p % t) == s.bits[p % len(s)]
+        assert a.cell(p % r, p % t) == bits[p % len(s)]
     rows = a.row_strings()
     assert CyclicArray(rows) == a
     assert CyclicArray.from_rowmasks(a.rowmasks, t) == a
@@ -174,7 +175,11 @@ def test_fold_and_unfold_match_per_cell_oracles(case):
     )
     back = unfold(a)
     assert back.bits == unfold_oracle(a).bits == s.bits
-    assert back.canonical_bits == s.canonical_bits
+    assert back.canonical().bits == s.canonical().bits
+    # the sequence integer is the packed 1 x L and L x 1 array
+    L = len(s)
+    assert fold(s, 1, L).packed() == fold(s, L, 1).packed() == s.packed()
+    assert unfold(fold(s, L, 1)).bits == s.bits
 
 
 # ----------------------------------------------------------------- unfold

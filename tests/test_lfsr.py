@@ -5,16 +5,22 @@ checker for register membership, and exhaustive window counting.
 """
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldcodes.arraycode import CyclicArray, _window_keys, window_key
+from foldcodes.constructions import (
+    NonexistenceError,
+    SearchExhausted,
+    perfect_factor,
+)
 from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible, exponent, mul
 from foldcodes.lfsr import (
     ZERO_SEQUENCE,
     _minimal_period,
-    _window_keys,
     CyclicSequence,
     PerfectFactor,
     SequenceFamily,
@@ -77,10 +83,14 @@ def test_constructor_minimizes_period_but_keeps_phase():
 
 
 def test_constructor_rejects_bad_input():
-    with pytest.raises(ValueError):
-        CyclicSequence([])
-    with pytest.raises(ValueError):
-        CyclicSequence([0, 2])
+    for empty in ([], "", ()):
+        with pytest.raises(ValueError, match="at least one bit"):
+            CyclicSequence(empty)
+    for bad in ([0, 2], "012", (1, -1)):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            CyclicSequence(bad)
+    with pytest.raises(ValueError, match="invalid literal"):
+        CyclicSequence("01a")
 
 
 def test_equality_up_to_rotation():
@@ -94,7 +104,7 @@ def test_canonical_matches_min_rotation_oracle():
     for _ in range(400):
         bits = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 24)))
         s = CyclicSequence(bits)
-        assert s.canonical_bits == least_rotation_oracle(s.bits)
+        assert s.canonical().bits == least_rotation_oracle(s.bits)
 
 
 def test_str_form():
@@ -281,11 +291,46 @@ def test_d_inverse_bits_is_phase_exact():
         d_inverse_bits((1, 0, 0), 0)
 
 
+def d_inverse_oracle(bits: tuple, choice: int) -> tuple:
+    # prefix sums from choice, once around an even weight, twice around
+    # an odd one
+    out = [choice]
+    for p in range(len(bits) * (1 + sum(bits) % 2) - 1):
+        out.append(out[-1] ^ bits[p % len(bits)])
+    return tuple(out)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=40), st.integers(0, 1))
-def test_d_round_trip_property(bits, choice):
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=40),
+    st.integers(0, 1),
+    st.lists(st.integers(0, 1), min_size=1, max_size=8),
+    st.integers(1, 5),
+)
+def test_d_round_trip_property(bits, choice, short, copies):
     s = CyclicSequence(bits) if any(bits) or len(bits) == 1 else ZERO_SEQUENCE
     assert d_morphism(d_inverse(s, choice)) == s
+    # the operators against their tuple forms
+    b, L = s.bits, len(s)
+    assert d_morphism(s).bits == CyclicSequence(
+        [b[p] ^ b[(p + 1) % L] for p in range(L)]
+    ).bits
+    assert d_inverse(s, choice).bits == CyclicSequence(
+        d_inverse_oracle(b, choice)
+    ).bits
+    # add_seq expands the shorter period to the longer one
+    u = CyclicSequence(short)
+    v = CyclicSequence((tuple(bits) * len(u) * copies)[: len(u) * copies])
+    lv, lu = len(v), len(u)
+    if lv % lu and lu % lv:
+        with pytest.raises(ValueError, match="length mismatch"):
+            add_seq(v, u)
+    else:
+        N = max(lv, lu)
+        want = [x ^ y for x, y in zip(v.bits * (N // lv), u.bits * (N // lu))]
+        assert add_seq(v, u).bits == add_seq(u, v).bits
+        assert add_seq(v, u).bits == CyclicSequence(want).bits
+    assert add_seq(s, s) == ZERO_SEQUENCE
 
 
 # ------------------------------------------------------------ weight_parity
@@ -370,7 +415,7 @@ def test_generate_cycles_matches_booth_walk_to_degree_9():
         fam = generate_cycles(f)
         want = cycles_by_booth_walk(f)
         assert [s.bits for s in fam.members] == want, f
-        assert all(s.canonical_bits == s.bits for s in fam.members)
+        assert all(s.canonical().bits == s.bits for s in fam.members)
         assert all(
             len(s) == minimal_period_oracle(s.bits) for s in fam.members
         )
@@ -378,28 +423,120 @@ def test_generate_cycles_matches_booth_walk_to_degree_9():
         assert fam.exponent == (lengths.pop() if len(lengths) == 1 else None)
 
 
+def rotations_oracle(bits: tuple) -> list:
+    return [bits[i:] + bits[:i] for i in range(len(bits))]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(0, 1), min_size=1, max_size=24),
     st.integers(1, 12),
+    st.integers(),
 )
-def test_minimal_period_matches_divisor_scan(base, copies):
+def test_minimal_period_matches_divisor_scan(base, copies, i):
+    # the packed format against the tuple it replaced: one integer with
+    # bit p = s_p, and every attribute read back from it
     bits = tuple(base) * copies
-    assert _minimal_period(bits) == minimal_period_oracle(bits)
-    assert _minimal_period(bytes(bits)) == minimal_period_oracle(bits)
-    assert CyclicSequence(bits).bits == bits[: minimal_period_oracle(bits)]
+    value = sum(b << p for p, b in enumerate(bits))
+    d = minimal_period_oracle(bits)
+    assert _minimal_period(value, len(bits)) == d
+    s = CyclicSequence(bits)
+    assert CyclicSequence(list(bits)) == s
+    assert CyclicSequence("".join(map(str, bits))).bits == s.bits
+    assert s.bits == bits[:d]
+    assert len(s) == d and s.weight == sum(bits[:d])
+    assert s.packed() == value & ((1 << d) - 1)
+    assert s.digits() == "".join(map(str, bits[:d]))
+    assert s.canonical().bits == least_rotation_oracle(bits[:d])
+    least = s.canonical()
+    assert least.packed() == CyclicSequence(least.bits).packed()
+    # equality and hashing see rotations as one sequence
+    turned = CyclicSequence(rotations_oracle(bits)[i % len(bits)])
+    assert turned == s and hash(turned) == hash(s)
+    assert turned.bits == rotations_oracle(bits[:d])[i % d]
+    assert shift(s, i).bits == turned.bits
+    other = CyclicSequence(bits[:d][::-1] + (1,))
+    assert (other == s) == (other.canonical().bits == s.canonical().bits)
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(0, 1), min_size=1, max_size=40),
-    st.integers(1, 50),
-)
-def test_window_keys_match_literal_windows(bits, n):
-    seq = CyclicSequence(bits)
-    L = len(seq.bits)
+@given(data=st.data())
+def test_window_keys_match_literal_windows(data):
+    # the n-windows of a sequence are the 1 x n windows of its 1 x L row,
+    # n up to 16 on rows up to 2^12 cells and n up to 50 on short ones
+    L = data.draw(st.integers(1, 1 << data.draw(st.sampled_from([5, 12]))))
+    n = data.draw(st.integers(1, 50 if L <= 40 else 16))
+    value = data.draw(st.integers(0, (1 << L) - 1))
+    seq = CyclicSequence(format(value, f"0{L}b"))
+    L, bits = len(seq), seq.bits
     literal = [
-        int("".join(str(seq.bits[(p + j) % L]) for j in range(n)), 2)
+        int("".join(str(bits[(p + j) % L]) for j in range(n)), 2)
         for p in range(L)
     ]
-    assert list(_window_keys(seq, n)) == literal
+    row = CyclicArray._wrap(seq.packed(), 1, L)
+    assert list(_window_keys(row, 1, n)) == literal
+    assert literal == [window_key(row, 0, p, 1, n) for p in range(L)]
+
+
+def literal_windows(seqs, n: int) -> list:
+    out = []
+    for s in seqs:
+        bits, L = s.bits, len(s)
+        out.extend(
+            tuple(bits[(p + j) % L] for j in range(n)) for p in range(L)
+        )
+    return out
+
+
+def flipped(seqs, rng) -> tuple:
+    # the sequences with one bit of one member complemented
+    out = list(seqs)
+    index = rng.randrange(len(out))
+    bits = list(out[index].bits)
+    bits[rng.randrange(len(bits))] ^= 1
+    out[index] = CyclicSequence(bits)
+    return tuple(out)
+
+
+def test_factor_verifiers_match_literal_window_sets():
+    rng = random.Random(41)
+    # every f with a constant term to degree 8: the windows are exactly
+    # the nonzero n-tuples, and stop being so when one bit flips
+    for mask in range(3, 1 << 9, 2):
+        fam = generate_cycles(Gf2Poly(mask))
+        n = fam.order
+        nonzero = sorted(set(product((0, 1), repeat=n)) - {(0,) * n})
+        for members in (
+            fam.members,
+            flipped(fam.members, rng),
+        ):
+            want = sorted(literal_windows(members, n)) == nonzero
+            got = verify_zero_factor(SequenceFamily(n, members, fam.exponent))
+            assert got == want, (mask, members)
+        assert want is False
+    # every perfect factor with n <= 5, each parity that exists
+    checked = 0
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for parity in (None, "even", "odd"):
+                try:
+                    pf = perfect_factor(n, k, parity)
+                except (NonexistenceError, SearchExhausted):
+                    continue
+                for cycles in (
+                    pf.cycles,
+                    flipped(pf.cycles, rng),
+                ):
+                    windows = literal_windows(cycles, n)
+                    want = (
+                        len(cycles) == 1 << (n - k)
+                        and all(len(c) == 1 << k for c in cycles)
+                        and len(set(windows)) == len(windows) == 1 << n
+                    )
+                    got = verify_perfect_factor(
+                        PerfectFactor(n, k, cycles, pf.zero_state)
+                    )
+                    assert got == want, (n, k, parity, cycles)
+                assert want is False
+                checked += 1
+    assert checked > 10
