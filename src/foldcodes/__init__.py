@@ -1,10 +1,10 @@
 """Shift-register sequence families, folded arrays, and array codes.
 
 The package is arranged bottom up: gf2poly holds the GF(2) polynomial
-arithmetic, lfsr turns polynomials into cyclic sequences and factors,
-folding maps sequences onto 2D tori, arraycode verifies the resulting
-window codes, constructions builds the named code families, and cli wires
-everything to a command line (entry point ``foldcodes``).
+arithmetic, arraycode cyclic arrays and the window-code oracles, lfsr
+turns polynomials into cyclic sequences and factors, folding maps
+sequences onto 2D tori, constructions builds the named code families, and
+cli wires everything to a command line (entry point ``foldcodes``).
 """
 
 from foldcodes.arraycode import (

@@ -1,10 +1,16 @@
 """Command line front end.
 
-Subcommands: fold, unfold, verify, construct, experiment, poly. Output
-goes to stdout or --out as plain text or as a JSON code document:
+Subcommands: fold, unfold, verify, construct, experiment, poly. Each
+returns its exit code, a JSON document and the document's plain text
+form; run() writes one of the two, once, to stdout or to --out. A code
+document reads
 
     {"kind": ..., "r": ..., "t": ..., "n": ..., "m": ...,
      "arrays": [["01010", "10001", ...], ...], "meta": {...}}
+
+A regular (or new) --out file is replaced in one step, from a
+temporary file beside it, so a failed write leaves the file as it was;
+a device or FIFO is written in place.
 
 Exit codes: 0 success (and, for construct/verify, the oracle passed),
 1 for a well-formed but unverified result, 2 for bad input.
@@ -16,7 +22,10 @@ bytes on every run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import stat
 import sys
 import warnings
 
@@ -53,28 +62,42 @@ def _parse_poly(text: str) -> Gf2Poly:
         raise _CliError(f"bad polynomial {text!r}: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _write(text: str, out: str | None) -> None:
+    """The one writer of a command's output: stdout, or the file out."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        mode = os.stat(out).st_mode
+    except FileNotFoundError:
+        mode = None
+    except OSError:  # open below names the error, as the direct write did
+        mode = 0
+    if mode is not None and not stat.S_ISREG(mode):
+        # a device, FIFO or directory is written (or refused) in place
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return
+    target = os.path.realpath(out)  # a symlink is written through
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            if mode is not None:  # before any text lands in the file
+                os.chmod(tmp, mode & 0o777)
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # name the file asked for, as writing it directly would
+            raise OSError(exc.errno, exc.strerror, out) from None
+        raise
 
 
 def _code_document(kind, r, t, n, m, arrays, meta: dict) -> dict:
-    return {
-        "kind": kind,
-        "r": r,
-        "t": t,
-        "n": n,
-        "m": m,
-        "arrays": [a.row_strings() for a in arrays],
-        "meta": meta,
-    }
+    rows = [a.row_strings() for a in arrays]
+    return dict(kind=kind, r=r, t=t, n=n, m=m, arrays=rows, meta=meta)
 
 
 def _load_document(path: str) -> dict:
@@ -134,7 +157,10 @@ def _doc_arrays(doc: dict):
     return r, t, arrays
 
 
-def _doc_to_code(doc: dict, kind=None, n=None, m=None) -> ArrayCode:
+def _doc_to_code(doc: dict, kind=None, n=None, m=None, flags=False):
+    """The array code of a document. kind, n and m, when given, override
+    its fields; flags says they come from verify's --kind, --n and --m,
+    which the errors then name."""
     try:
         kind = kind or doc["kind"]
         n = _doc_int(doc, "n") if n is None else n
@@ -142,30 +168,38 @@ def _doc_to_code(doc: dict, kind=None, n=None, m=None) -> ArrayCode:
     except KeyError as exc:
         raise _CliError(f"malformed document: {exc}") from None
     r, t, arrays = _doc_arrays(doc)
+    if flags:
+        fix_kind, fix_window = "pass --kind with", "pass --n and --m"
+    else:
+        fix_kind = "the document's kind must be"
+        fix_window = "the document's n and m must be at least 1"
     if kind not in KINDS:
         raise _CliError(
-            f"kind {kind!r} is not verifiable; pass --kind with one of "
+            f"kind {kind!r} is not verifiable; {fix_kind} one of "
             + ", ".join(sorted(KINDS))
         )
     if n < 1 or m < 1:
-        raise _CliError("window size is not set; pass --n and --m")
+        raise _CliError(f"window size is not set; {fix_window}")
     return ArrayCode(kind, r, t, n, m, tuple(arrays))
 
 
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
 def _arrays_text(arrays) -> str:
-    blocks = ["\n".join(a.row_strings()) for a in arrays]
-    return "\n\n".join(blocks) + "\n"
+    """Plain text of a document's arrays, each given as its row strings."""
+    return "\n\n".join("\n".join(rows) for rows in arrays) + "\n"
 
 
 # ---------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, JSON document, plain text)
 # ---------------------------------------------------------------------
 
 
-def cmd_fold(args) -> int:
+def cmd_fold(args):
     f = _parse_poly(args.poly)
-    fam = generate_cycles(f)
-    members = fam.members
+    members = generate_cycles(f).members
     if args.cycle_index is not None:
         if not 0 <= args.cycle_index < len(members):
             raise _CliError(
@@ -174,30 +208,22 @@ def cmd_fold(args) -> int:
             )
         members = members[args.cycle_index : args.cycle_index + 1]
     arrays = tuple(fold(s, args.r, args.t) for s in members)
-    if args.format == "json":
-        doc = _code_document(
-            "RAW", args.r, args.t, args.n, args.m, arrays,
-            {"construction": "fold", "poly": str(f)},
-        )
-        _emit(_dump_json(doc), args.out)
-    else:
-        _emit(_arrays_text(arrays), args.out)
-    return 0
+    doc = _code_document(
+        "RAW", args.r, args.t, args.n, args.m, arrays,
+        {"construction": "fold", "poly": str(f)},
+    )
+    return 0, doc, _arrays_text(doc["arrays"])
 
 
-def cmd_unfold(args) -> int:
+def cmd_unfold(args):
     _, _, arrays = _doc_arrays(_load_document(args.input))
     texts = [unfold(a).digits() for a in arrays]
-    if args.format == "json":
-        _emit(_dump_json({"sequences": texts}), args.out)
-    else:
-        _emit("".join(text + "\n" for text in texts), args.out)
-    return 0
+    return 0, {"sequences": texts}, _lines(texts)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     doc = _load_document(args.input)
-    code = _doc_to_code(doc, kind=args.kind, n=args.n, m=args.m)
+    code = _doc_to_code(doc, args.kind, args.n, args.m, flags=True)
     rep = verify(code)
     checks = {
         "counting": rep.counting_ok,
@@ -205,34 +231,26 @@ def cmd_verify(args) -> int:
         "coverage": rep.coverage_ok,
         "closure": rep.closure_ok,
     }
-    if args.format == "json":
-        payload = {
-            "kind": code.kind,
-            "parameters": [code.r, code.t, code.n, code.m],
-            "arrays": len(code.arrays),
-            "checks": {
-                k: v for k, v in checks.items() if v is not None
-            },
-            "verdict": rep.ok,
-            "notes": list(rep.notes),
-        }
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = [
+    checks = {name: ok for name, ok in checks.items() if ok is not None}
+    doc = {
+        "kind": code.kind,
+        "parameters": [code.r, code.t, code.n, code.m],
+        "arrays": len(code.arrays),
+        "checks": checks,
+        "verdict": rep.ok,
+        "notes": list(rep.notes),
+    }
+    text = _lines(
+        [
             f"kind: {code.kind} ({code.r},{code.t};{code.n},{code.m})"
-            f" arrays: {len(code.arrays)}"
+            f" arrays: {len(code.arrays)}",
+            *(f"{name}: {'ok' if ok else 'FAIL'}"
+              for name, ok in checks.items()),
+            *(f"note: {note}" for note in doc["notes"]),
+            f"verdict: {'verified' if rep.ok else 'not verified'}",
         ]
-        for name, val in checks.items():
-            if val is None:
-                continue
-            lines.append(f"{name}: {'ok' if val else 'FAIL'}")
-        for note in rep.notes:
-            lines.append(f"note: {note}")
-        lines.append(
-            f"verdict: {'verified' if rep.ok else 'not verified'}"
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if rep.ok else 1
+    )
+    return (0 if rep.ok else 1), doc, text
 
 
 def _require(args, names) -> None:
@@ -241,100 +259,82 @@ def _require(args, names) -> None:
             raise _CliError(f"--{name} is required for this construction")
 
 
-def _emit_report(args, rep, extra_meta) -> int:
-    meta = {
-        "construction": args.name,
-        "verified": rep.verified,
-        "claimed_size": rep.claimed_size,
-        "notes": list(rep.notes),
-    }
+def _report(rep, meta: dict):
+    """Exit code, code document and text of a construction report; meta
+    holds the construction's own fields."""
+    meta.update(
+        verified=rep.verified,
+        claimed_size=rep.claimed_size,
+        notes=list(rep.notes),
+    )
+    code = rep.produced
+    head = (
+        f"{code.kind} ({code.r},{code.t};{code.n},{code.m})"
+        f" arrays={len(code.arrays)} claimed={rep.claimed_size}"
+        f" verified={rep.verified}"
+    )
     if rep.min_distance is not None:
         meta["min_distance"] = rep.min_distance
+        head += f" min_distance={rep.min_distance}"
     if rep.experimental:
         meta["experimental"] = True
-    meta.update(extra_meta)
-    code = rep.produced
-    if args.format == "json":
-        doc = _code_document(
-            code.kind, code.r, code.t, code.n, code.m, code.arrays, meta
-        )
-        _emit(_dump_json(doc), args.out)
-    else:
-        head = (
-            f"{code.kind} ({code.r},{code.t};{code.n},{code.m})"
-            f" arrays={len(code.arrays)} claimed={rep.claimed_size}"
-            f" verified={rep.verified}"
-        )
-        if rep.min_distance is not None:
-            head += f" min_distance={rep.min_distance}"
-        parts = [head]
-        parts.extend(f"note: {note}" for note in rep.notes)
-        body = "\n".join(parts) + "\n"
-        if code.arrays:
-            body += "\n" + _arrays_text(code.arrays)
-        _emit(body, args.out)
-    return 0 if rep.verified else 1
+    doc = _code_document(
+        code.kind, code.r, code.t, code.n, code.m, code.arrays, meta
+    )
+    text = _lines([head, *(f"note: {note}" for note in rep.notes)])
+    if doc["arrays"]:
+        text += "\n" + _arrays_text(doc["arrays"])
+    return (0 if rep.verified else 1), doc, text
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
+    meta = {"construction": args.name}
     if args.name == "pf":
         _require(args, ["n", "k"])
         pf = perfect_factor(args.n, args.k, args.parity)
         ok = verify_perfect_factor(pf)
+        meta["verified"] = ok
         doc = {
             "kind": "PF",
             "n": pf.order,
             "k": pf.subdegree,
             "cycles": [c.digits() for c in pf.cycles],
-            "meta": {"construction": "pf", "verified": ok},
+            "meta": meta,
         }
-        if args.format == "json":
-            _emit(_dump_json(doc), args.out)
-        else:
-            lines = [
-                f"PF({pf.order},{pf.subdegree})"
-                f" cycles={len(pf.cycles)} verified={ok}"
-            ]
-            lines.extend(doc["cycles"])
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0 if ok else 1
+        head = (
+            f"PF({pf.order},{pf.subdegree})"
+            f" cycles={len(pf.cycles)} verified={ok}"
+        )
+        return (0 if ok else 1), doc, _lines([head, *doc["cycles"]])
     if args.name in ("pmc-odd", "pmc-sd"):
         _require(args, ["n", "k", "m"])
         pf = perfect_factor(args.n, args.k, args.parity)
         build = (
             construct_pmc_odd if args.name == "pmc-odd" else construct_pmc_sd
         )
-        rep = build(pf, args.m)
-        return _emit_report(
-            args, rep, {"source_factor": f"PF({args.n},{args.k})"}
-        )
+        meta["source_factor"] = f"PF({args.n},{args.k})"
+        return _report(build(pf, args.m), meta)
     if args.name == "db-direct":
         _require(args, ["input", "m"])
-        doc = _load_document(args.input)
-        code = _doc_to_code(doc)
+        code = _doc_to_code(_load_document(args.input))
         seed = _parse_poly(args.seed_poly) if args.seed_poly else None
-        rep = construct_db_pmc_direct(code, args.m, seed)
-        extra = {"source": args.input}
+        meta["source"] = args.input
         if args.seed_poly:
-            extra["seed_poly"] = str(seed)
-        return _emit_report(args, rep, extra)
-    if args.name == "prac-fold":
-        _require(args, ["poly", "n", "m"])
-        f = _parse_poly(args.poly)
-        rep = construct_prac_fold(f, args.n, args.m)
-        return _emit_report(args, rep, {"poly": str(f)})
-    raise _CliError(f"unknown construction {args.name!r}")
+            meta["seed_poly"] = str(seed)
+        return _report(construct_db_pmc_direct(code, args.m, seed), meta)
+    _require(args, ["poly", "n", "m"])  # prac-fold
+    f = _parse_poly(args.poly)
+    meta["poly"] = str(f)
+    return _report(construct_prac_fold(f, args.n, args.m), meta)
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args):
     if args.name == "product-fold":
         _require(args, ["f", "g"])
         f, g = _parse_poly(args.f), _parse_poly(args.g)
-        reports = [
-            experiment_product_fold(f, g, args.r, args.t, args.n, args.m)
-        ]
+        reports = [experiment_product_fold(f, g, args.r, args.t, args.n, args.m)]
         labels = [f"{f} * {g}"]
-    elif args.name == "exponent-family":
+    else:  # exponent-family
         _require(args, ["deg", "e"])
         reports = experiment_exponent_family(
             args.deg, args.e, args.r, args.t, args.n, args.m
@@ -343,40 +343,29 @@ def cmd_experiment(args) -> int:
             rep.notes[0].removeprefix("poly ") if rep.notes else "?"
             for rep in reports
         ]
-    else:
-        raise _CliError(f"unknown experiment {args.name!r}")
-    rows = []
-    for label, rep in zip(labels, reports):
-        r, t, n, m = rep.parameters
-        rows.append(
-            {
-                "label": label,
-                "r": r,
-                "t": t,
-                "n": n,
-                "m": m,
-                "arrays": len(rep.produced.arrays),
-                "verified": rep.verified,
-                "min_distance": rep.min_distance,
-            }
+    rows = [
+        dict(
+            zip("rtnm", rep.parameters),
+            label=label,
+            arrays=len(rep.produced.arrays),
+            verified=rep.verified,
+            min_distance=rep.min_distance,
         )
-    if args.format == "json":
-        _emit(_dump_json({"experiment": args.name, "rows": rows}), args.out)
-    else:
-        lines = []
-        for row in rows:
-            verdict = "verified" if row["verified"] else "not verified"
-            dist = row["min_distance"]
-            lines.append(
-                f"{row['label']:<24} ({row['r']},{row['t']};"
-                f"{row['n']},{row['m']}) cycles={row['arrays']}"
-                f" {verdict} dist={'-' if dist is None else dist}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all(row["verified"] for row in rows) else 1
+        for label, rep in zip(labels, reports)
+    ]
+    text = _lines(
+        f"{row['label']:<24} ({row['r']},{row['t']};{row['n']},{row['m']})"
+        f" cycles={row['arrays']}"
+        f" {'verified' if row['verified'] else 'not verified'}"
+        f" dist={'-' if row['min_distance'] is None else row['min_distance']}"
+        for row in rows
+    )
+    # no rows means nothing was verified
+    status = 0 if rows and all(row["verified"] for row in rows) else 1
+    return status, {"experiment": args.name, "rows": rows}, text
 
 
-def cmd_poly(args) -> int:
+def cmd_poly(args):
     if args.poly:
         f = _parse_poly(args.poly)
         irr = is_irreducible(f)
@@ -388,19 +377,11 @@ def cmd_poly(args) -> int:
         }
         if irr and f.mask & 1:
             info["exponent"] = exponent(f)
-        if args.format == "json":
-            _emit(_dump_json(info), args.out)
-        else:
-            lines = [f"{key}: {val}" for key, val in info.items()]
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0
+        return 0, info, _lines(f"{key}: {val}" for key, val in info.items())
     if args.degree:
-        polys = enumerate_irreducible(args.degree, args.exponent)
-        if args.format == "json":
-            _emit(_dump_json({"polynomials": [str(f) for f in polys]}), args.out)
-        else:
-            _emit("".join(f"{f}\n" for f in polys), args.out)
-        return 0
+        found = enumerate_irreducible(args.degree, args.exponent)
+        polys = [str(f) for f in found]
+        return 0, {"polynomials": polys}, _lines(polys)
     raise _CliError("pass --poly or --degree")
 
 
@@ -409,10 +390,9 @@ def cmd_poly(args) -> int:
 # ---------------------------------------------------------------------
 
 
-def _common(sub) -> None:
-    sub.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
+def _common(sub, cmd) -> None:
+    sub.set_defaults(cmd=cmd)
+    sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--out", default=None, metavar="FILE")
 
 
@@ -431,18 +411,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle-index", type=int, default=None)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--m", type=int, default=0)
-    _common(p)
+    _common(p, cmd_fold)
 
     p = sub.add_parser("unfold", help="read arrays back to sequences")
     p.add_argument("--input", required=True, metavar="FILE")
-    _common(p)
+    _common(p, cmd_unfold)
 
     p = sub.add_parser("verify", help="run the oracle on a document")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--kind", choices=sorted(KINDS), default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    _common(p)
+    _common(p, cmd_verify)
 
     p = sub.add_parser("construct", help="run a construction")
     p.add_argument(
@@ -456,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", default=None)
     p.add_argument("--input", default=None, metavar="FILE")
     p.add_argument("--seed-poly", default=None)
-    _common(p)
+    _common(p, cmd_construct)
 
     p = sub.add_parser("experiment", help="run a folding experiment")
     p.add_argument("name", choices=("product-fold", "exponent-family"))
@@ -468,32 +448,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _common(p)
+    _common(p, cmd_experiment)
 
     p = sub.add_parser("poly", help="polynomial queries")
     p.add_argument("--poly", default=None)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--exponent", type=int, default=None)
-    _common(p)
+    _common(p, cmd_poly)
 
     return parser
-
-
-_DISPATCH = {
-    "fold": cmd_fold,
-    "unfold": cmd_unfold,
-    "verify": cmd_verify,
-    "construct": cmd_construct,
-    "experiment": cmd_experiment,
-    "poly": cmd_poly,
-}
 
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return _DISPATCH[args.command](args)
+            status, doc, text = args.cmd(args)
+            if args.format == "json":
+                text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            _write(text, args.out)
+            return status
         except (_CliError, ValueError, SearchExhausted, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

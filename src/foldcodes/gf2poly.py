@@ -324,16 +324,10 @@ def _irreducible_masks(n: int) -> list:
 
 
 def euler_phi(k: int) -> int:
-    """Euler totient of k, by trial-division factorization."""
+    """Euler totient of k, from its prime factors."""
     if k <= 0:
         raise ValueError("euler_phi needs a positive integer")
-    out, x, d = k, k, 2
-    while d * d <= x:
-        if x % d == 0:
-            out -= out // d
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        out -= out // x
+    out = k
+    for p in _prime_factors(k):
+        out -= out // p
     return out

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -172,6 +173,31 @@ def test_verify_raw_needs_kind_and_window(tmp_path, capsys):
         )
         == 0
     )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({}, "kind 'RAW' is not verifiable; the document's kind must be "
+             "one of DBAC, PM, PRA, PRAC, SDBAC, SPM"),
+        ({"kind": "DBAC"}, "window size is not set; the document's n and m "
+                           "must be at least 1"),
+    ],
+    ids=["kind", "window"],
+)
+def test_db_direct_names_the_document_not_flags(
+    tmp_path, capsys, fields, message
+):
+    # construct has no --kind, and db-direct takes n from the document
+    raw = tmp_path / "raw.json"
+    argv = ["fold", "--poly", "x^4+x^3+1", "--r", "3", "--t", "5"]
+    assert run([*argv, "--format", "json", "--out", str(raw)]) == 0
+    raw.write_text(json.dumps(dict(json.loads(raw.read_text()), **fields)))
+    argv = ["construct", "db-direct", "--input", str(raw), "--m", "2"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert run([*argv, "--n", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_verify_malformed_documents(tmp_path, capsys):
@@ -651,8 +677,25 @@ def test_experiment_warning_is_one_stderr_line():
         "experiment", "exponent-family", "--deg", "4", "--e", "7",
         "--r", "7", "--t", "1", "--n", "2", "--m", "2",
     )
-    assert (proc.returncode, proc.stdout) == (0, "\n")
+    assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == WARNING_LINE
+
+
+@pytest.mark.parametrize(
+    "e, err",
+    # 7 does not divide 2^4 - 1; 3 does, but no degree-4 irreducible
+    # has exponent 3
+    [("7", WARNING_LINE), ("3", "")],
+    ids=["e-not-dividing", "e-without-polynomials"],
+)
+def test_empty_experiment_exits_1(capsys, e, err):
+    argv = ["experiment", "exponent-family", "--deg", "4", "--e", e,
+            "--r", e, "--t", "1", "--n", "2", "--m", "2"]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", err)
+    assert run([*argv, "--format", "json"]) == 1
+    out, _ = capsys.readouterr()
+    assert json.loads(out) == {"experiment": "exponent-family", "rows": []}
 
 
 def test_huge_m_is_refused_before_2_to_the_m(tmp_path):
@@ -694,6 +737,7 @@ def test_json_output_is_deterministic(capsys):
 
 def test_out_flag_leaves_stdout_empty(tmp_path, capsys):
     target = tmp_path / "doc.json"
+    target.write_text("old contents\n")
     assert (
         run(
             [
@@ -713,6 +757,92 @@ def test_out_flag_leaves_stdout_empty(tmp_path, capsys):
     )
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["cycles"] == ["0011"]
+    assert os.listdir(tmp_path) == ["doc.json"]
+
+
+def test_out_writes_through_a_symlink_and_keeps_the_mode(
+    tmp_path, capsys, monkeypatch
+):
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("old contents\n")
+    real.chmod(0o4600)  # setuid is not carried over; the rest of the mode is
+    link.symlink_to(real.name)
+    modes_at_write = []
+
+    class ModeCheckingFile:
+        """A real file that records its mode when the text is written."""
+
+        def __init__(self, path, mode="r"):
+            self._path, self._fh = path, open(path, mode)
+
+        def write(self, text):
+            modes_at_write.append(os.stat(self._path).st_mode & 0o7777)
+            return self._fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+    monkeypatch.setattr("foldcodes.cli.open", ModeCheckingFile, raising=False)
+    argv = ["construct", "pf", "--n", "3", "--k", "2", "--out", str(link)]
+    assert run(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert link.is_symlink()
+    assert real.read_text() == "PF(3,2) cycles=2 verified=True\n0001\n0111\n"
+    assert modes_at_write == [0o600]
+    assert real.stat().st_mode & 0o7777 == 0o600
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
+def test_out_to_a_device_writes_it_in_place():
+    argv = ["construct", "pf", "--n", "3", "--k", "2", "--out", os.devnull]
+    assert run(argv) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_to_a_fifo_feeds_its_reader(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        argv = ["construct", "pf", "--n", "3", "--k", "2", "--out", str(fifo)]
+        assert run(argv) == 0
+        assert os.read(reader, 4096) == b"PF(3,2) cycles=2 verified=True\n0001\n0111\n"
+    finally:
+        os.close(reader)
+    assert capsys.readouterr() == ("", "")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_failed_out_write_leaves_the_target(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "doc.json"
+    target.write_text("old contents\n")
+
+    class FailingFile:
+        """A real file whose write stores a few bytes, then fails."""
+
+        def __init__(self, path, mode="r"):
+            self._fh = open(path, mode)
+
+        def write(self, text):
+            self._fh.write(text[:5])
+            raise OSError("No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+    monkeypatch.setattr("foldcodes.cli.open", FailingFile, raising=False)
+    argv = ["construct", "pf", "--n", "3", "--k", "2", "--out", str(target)]
+    assert run(argv) == 2
+    _one_line_error(capsys, "No space left on device")
+    assert target.read_text() == "old contents\n"
+    assert os.listdir(tmp_path) == ["doc.json"]
 
 
 def test_unknown_subcommand_is_usage_error():
