@@ -13,7 +13,7 @@ from math import gcd
 
 from .arraycode import CyclicArray
 from .gf2poly import Gf2Poly, is_irreducible, mul, pow_x_mod
-from .lfsr import CyclicSequence
+from .lfsr import CyclicSequence, _repeat
 
 
 # Largest r*t that fold builds.  The longest register cycle has 2^24 - 1
@@ -51,6 +51,9 @@ def fold(s: CyclicSequence, r: int, t: int) -> CyclicArray:
     L = len(s)
     if size % L != 0:
         raise ValueError(f"period {L} does not divide {r}x{t}")
+    if r == 1 or t == 1:
+        # position p lands in cell p: the array is the sequence repeated
+        return CyclicArray._wrap(_repeat(s.packed(), L, size), r, t)
     text = s.digits() * (size // L)
     rinv = pow(r, -1, t)
     chunks = [j * rinv % t * r for j in range(t - 1, -1, -1)]

@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arraycode import CyclicArray, _window_keys
-from .gf2poly import Gf2Poly, _prime_factors, exponent, is_irreducible
+from .gf2poly import (
+    Gf2Poly,
+    _prime_factors,
+    exponent,
+    is_irreducible,
+    is_primitive,
+)
 
 __all__ = [
     "CyclicSequence",
@@ -38,6 +44,12 @@ __all__ = [
 def _turn(value: int, k: int, n: int) -> int:
     """The n-bit value turned so that bit p of the result is bit p + k."""
     return ((value >> k) | (value << (n - k))) & ((1 << n) - 1)
+
+
+def _repeat(value: int, length: int, size: int) -> int:
+    """The length-bit value repeated out to size bits; length divides size."""
+    # v * (2^L - 1) / (2^l - 1) repeats the l bits of v out to L bits
+    return value * (((1 << size) - 1) // ((1 << length) - 1))
 
 
 def _minimal_period(value: int, n: int) -> int:
@@ -192,11 +204,44 @@ class PerfectFactor:
         return "\n".join(str(s) for s in self.cycles)
 
 
+# Largest register degree: the longest cycle has 2^24 - 1 states.
+_MAX_DEGREE = 24
+
+
+def _check_degree(n: int) -> None:
+    if n > _MAX_DEGREE:
+        raise ValueError(f"degree capped at {_MAX_DEGREE}")
+
+
+def _m_cycle(f: Gf2Poly) -> CyclicSequence:
+    """The one cycle of primitive f, in canonical phase, by blocks.
+
+    The cycle satisfies sum over the terms x^j of f of s_{k+j} = 0 for
+    every k, and over GF(2) f(x)^B = f(x^B) for B a power of two, so also
+    sum_j s_{k+jB} = 0: once L >= nB bits are known, the next B follow
+    from L - nB on by one shift and XOR of the packed bits per tap.  The
+    start 0...01 is the least state, so the cycle comes out canonical.
+    """
+    n, e = f.degree, (1 << f.degree) - 1
+    taps = [j for j in range(n) if f.mask >> j & 1]
+    v, L = 1 << (n - 1), n
+    while L < e:
+        B = 1 << ((L // n).bit_length() - 1)
+        step = min(B, e - L)
+        base, block = L - n * B, 0
+        for j in taps:
+            block ^= v >> (base + j * B)
+        v |= (block & ((1 << step) - 1)) << L
+        L += step
+    return CyclicSequence._known(v, e, v)
+
+
 def generate_cycles(f: Gf2Poly) -> SequenceFamily:
     """Partition the 2^n - 1 nonzero register states of f into cycles.
 
     Members are returned in canonical phase, sorted.  For irreducible f
-    every cycle has length exponent(f).
+    every cycle has length exponent(f).  Primitive f has one cycle, built
+    by the block recurrence of ``_m_cycle``; any other f is walked.
 
     The n-windows of one cycle are its states, all distinct, so the
     cycle length is the minimal period of its bits, and the rotation
@@ -206,11 +251,12 @@ def generate_cycles(f: Gf2Poly) -> SequenceFamily:
     n = f.degree
     if f.mask == 0 or n == 0:
         raise ValueError("need a characteristic polynomial of degree >= 1")
-    if n > 24:
-        raise ValueError("degree capped at 24")
+    _check_degree(n)
     if not (f.mask & 1):
         raise ValueError("singular register: constant term of f is zero")
     size = 1 << n
+    if is_primitive(f):
+        return SequenceFamily(order=n, members=(_m_cycle(f),), exponent=size - 1)
     low, top = size - 1, n - 1
     # c_i multiplies a_{k-i}, which sits in bit i-1 of the state
     taps = int(format(f.mask & low, f"0{n}b")[::-1], 2)
@@ -247,7 +293,8 @@ def m_sequence(f: Gf2Poly) -> CyclicSequence:
     e, full = exponent(f), (1 << f.degree) - 1
     if e != full:
         raise ValueError(f"not primitive: exponent of {f} is {e}, not {full}")
-    return generate_cycles(f).members[0]
+    _check_degree(f.degree)
+    return _m_cycle(f)
 
 
 def _windows(seqs, n: int):
@@ -288,11 +335,10 @@ def add_seq(s: CyclicSequence, u: CyclicSequence) -> CyclicSequence:
     shorter sequence is expanded to the common length).
     """
     a, b, la, lb = s.packed(), u.packed(), len(s), len(u)
-    # v * (2^L - 1) / (2^l - 1) repeats the l bits of v out to L bits
     if la % lb == 0:
-        b *= ((1 << la) - 1) // ((1 << lb) - 1)
+        b = _repeat(b, lb, la)
     elif lb % la == 0:
-        a *= ((1 << lb) - 1) // ((1 << la) - 1)
+        a = _repeat(a, la, lb)
     else:
         raise ValueError(f"length mismatch: {la} vs {lb}")
     return CyclicSequence._reduced(a ^ b, max(la, lb))

@@ -142,6 +142,10 @@ def test_fold_matches_oracle_random():
             if (r * t) % len(s):
                 continue
             assert fold(s, r, t) == fold_oracle(s, r, t)
+    # a period-15 m-sequence repeated 273 times in one row and one column
+    s4 = m_sequence(P("x^4+x+1"))
+    for r, t in [(1, 4095), (4095, 1)]:
+        assert fold(s4, r, t) == fold_oracle(s4, r, t)
 
 
 @st.composite

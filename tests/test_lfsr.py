@@ -17,7 +17,14 @@ from foldcodes.constructions import (
     SearchExhausted,
     perfect_factor,
 )
-from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible, exponent, mul
+from foldcodes.folding import fold, unfold
+from foldcodes.gf2poly import (
+    Gf2Poly,
+    enumerate_irreducible,
+    exponent,
+    is_primitive,
+    mul,
+)
 from foldcodes.lfsr import (
     ZERO_SEQUENCE,
     _minimal_period,
@@ -193,6 +200,20 @@ def test_m_sequence_examples():
         m_sequence(P("x^4+x^3+x^2+x+1"))
     with pytest.raises(ValueError, match="reducible"):
         m_sequence(P("x^2+1"))
+    with pytest.raises(ValueError, match="constant polynomial"):
+        m_sequence(Gf2Poly(1))
+    with pytest.raises(ValueError, match="x has no exponent"):
+        m_sequence(P("x"))
+
+
+def test_register_degree_cap():
+    # x^25+x^3+1 is primitive; its 2^25 - 1 states are over the cap
+    assert is_primitive(P("x^25+x^3+1"))
+    for call in (generate_cycles, m_sequence):
+        with pytest.raises(ValueError, match="degree capped at 24"):
+            call(P("x^25+x^3+1"))
+    with pytest.raises(ValueError, match="reducible"):
+        m_sequence(P("x^25+1"))
 
 
 def test_m_sequence_recursion_membership():
@@ -387,25 +408,28 @@ def minimal_period_oracle(bits: tuple) -> int:
     return n
 
 
-def cycles_by_booth_walk(f: Gf2Poly) -> list:
-    # the state walk with the oldest bit in bit 0, each cycle reduced to
-    # its minimal period and canonicalised by Booth's least rotation
+def state_walk(f: Gf2Poly, start: int, seen: bytearray) -> list:
+    # the literal register walk from start, the oldest bit in bit 0, one
+    # output bit per state until a state in seen comes round again
     n = f.degree
     taps = f.mask & ((1 << n) - 1)
-    seen = bytearray(1 << n)
-    cycles = []
-    for start in range(1, 1 << n):
-        if seen[start]:
-            continue
-        state, bits = start, []
-        while not seen[state]:
-            seen[state] = 1
-            bits.append(state & 1)
-            state = (state >> 1) | (
-                ((state & taps).bit_count() & 1) << (n - 1)
-            )
-        cycles.append(CyclicSequence(bits).canonical().bits)
-    return sorted(cycles)
+    state, bits = start, []
+    while not seen[state]:
+        seen[state] = 1
+        bits.append(state & 1)
+        state = (state >> 1) | (((state & taps).bit_count() & 1) << (n - 1))
+    return bits
+
+
+def cycles_by_booth_walk(f: Gf2Poly) -> list:
+    # the state walk from every state, each cycle reduced to its minimal
+    # period and canonicalised by Booth's least rotation
+    seen = bytearray(1 << f.degree)
+    return sorted(
+        CyclicSequence(state_walk(f, start, seen)).canonical().bits
+        for start in range(1, 1 << f.degree)
+        if not seen[start]
+    )
 
 
 def test_generate_cycles_matches_booth_walk_to_degree_9():
@@ -421,6 +445,50 @@ def test_generate_cycles_matches_booth_walk_to_degree_9():
         )
         lengths = {len(c) for c in want}
         assert fam.exponent == (lengths.pop() if len(lengths) == 1 else None)
+
+
+def primitives_under_test() -> list:
+    # every primitive up to degree 12 and a seeded 16 of each of 13..16
+    rng = random.Random(1967)
+    out = []
+    for n in range(1, 17):
+        found = enumerate_irreducible(n, (1 << n) - 1)
+        out += found if n <= 12 else rng.sample(found, 16)
+    return out
+
+
+def test_primitive_cycles_match_the_state_walk():
+    # the block recurrence against the literal walk from the least state
+    # 0...01, where the cycle's least rotation starts
+    for f in primitives_under_test():
+        n = f.degree
+        want = "".join(map(str, state_walk(f, 1 << (n - 1), bytearray(1 << n))))
+        assert len(want) == (1 << n) - 1, f
+        fam = generate_cycles(f)
+        assert (fam.order, fam.exponent, len(fam.members)) == (n, len(want), 1)
+        assert fam.members[0].digits() == m_sequence(f).digits() == want, f
+
+
+def test_generate_cycles_at_the_degree_24_cap():
+    f = P("x^24+x^7+x^2+x+1")
+    e = (1 << 24) - 1
+    (s,) = generate_cycles(f).members
+    assert len(s) == e and s.weight == 1 << 23
+    v = s.packed()
+    # 23 zeros, then a 1
+    assert v & ((1 << 24) - 1) == 1 << 23
+    data = v.to_bytes((e + 7) // 8, "little")
+
+    def bit(p):
+        p %= e
+        return (data[p >> 3] >> (p & 7)) & 1
+
+    # a_k = sum c_i a_{k-i}, c_i the coefficient of x^(24-i)
+    taps = [i for i in range(1, 25) if (f.mask >> (24 - i)) & 1]
+    for k in random.Random(24).sample(range(e), 1000):
+        assert sum(bit(k - i) for i in taps) % 2 == bit(k), k
+    back = unfold(fold(s, 4097, 4095))
+    assert (len(back), back.packed()) == (e, v)
 
 
 def rotations_oracle(bits: tuple) -> list:
