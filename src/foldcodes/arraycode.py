@@ -15,20 +15,40 @@ Array code kinds:
     SDBAC  shortened de Bruijn code    several arrays, nonzero matrices
     PRAC   pseudorandom array code     SDBAC closed under shift-and-add
 
-Closure is decided by rank: the positioned arrays P (every 2D rotation
-of every array) are closed exactly when they are distinct and P with
-the zero array is a GF(2) space, |P| + 1 = 2^rank(P) (|P| = 2^rank(P)
-when a 1x1 zero array puts zero in P). A code that fails gets the note
-"positioned arrays span at least S words, more than |P| + 1 = N: not
-closed under shift-and-add". min_distance is exact at any size for a
-closed PRA/PRAC, where it is the minimum array weight; every other code
-is scanned pairwise, up to 1024 distinct words.
+Closure and coverage of a PRA/PRAC are decided in one ideal where the
+algebra can say yes. On a coprime r x t torus the fold is the CRT
+isomorphism onto GF(2)[z]/(z^N - 1), N = rt, so the positioned arrays P
+(every 2D rotation of every array) are the cyclic shifts of the k
+sequences the arrays unfold to, and they span the ideal of their gcd g
+with z^N - 1. When k*N = 2^(n*m) - 1, P is closed exactly when it is
+distinct and the ideal has dimension n*m. Distinctness is a test of
+full orbits and of k keys modulo h = (z^N - 1)/g, which decide it
+exactly when h is irreducible. A closed code covers every nonzero
+window exactly when the window cells at anchor (0,0), read on the
+ideal's basis g*z^i, have full rank: the position-independence
+criterion, read off the arrays. See _ideal_verdict.
+
+Every other code takes the literal path, whose notes the reports keep:
+one that fails a step, a product fold whose keys agree across orbits,
+or a shape that is not coprime. Its closure is decided by rank: P is
+closed exactly when it is distinct and P with the zero array is a
+GF(2) space, |P| + 1 = 2^rank(P) (|P| = 2^rank(P) when a 1x1 zero
+array puts zero in P), walked in Gray-code order; a code that fails
+gets the note "positioned arrays span at least S words, more than
+|P| + 1 = N: not closed under shift-and-add". Its coverage reads every
+window of every array and names repeated windows by their anchors.
+min_distance is exact at any size for a closed PRA/PRAC, where it is
+the minimum array weight; every other code is scanned pairwise, up to
+1024 distinct words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from math import gcd
+
+from .gf2poly import _divmod, _gcd, _pow, _prime_factors
 
 KINDS = ("PM", "SPM", "PRA", "DBAC", "SDBAC", "PRAC")
 _FULL_KINDS = frozenset(("PM", "DBAC"))
@@ -135,25 +155,6 @@ def add2d(a: CyclicArray, b: CyclicArray) -> CyclicArray:
     return CyclicArray._wrap(a._value ^ b._value, a.rows, a.cols)
 
 
-def window(a: CyclicArray, i: int, j: int, n: int, m: int):
-    """The n x m sub-matrix anchored at (i, j), wrapping cyclically."""
-    if n < 1 or m < 1:
-        raise ValueError("window dimensions must be positive")
-    return tuple(
-        tuple(a.cell(i + u, j + v) for v in range(m)) for u in range(n)
-    )
-
-
-def window_key(a: CyclicArray, i: int, j: int, n: int, m: int) -> int:
-    """The window packed row-major into an integer, first cell most
-    significant."""
-    key = 0
-    for u in range(n):
-        for v in range(m):
-            key = (key << 1) | a.cell(i + u, j + v)
-    return key
-
-
 def _packed_shifts(a: CyclicArray):
     """Yield the packed form of shift2d(a, dv, dh) for each dh, then dv.
 
@@ -222,18 +223,124 @@ def _positioned(code: ArrayCode) -> set:
 
 
 def _check_closure(code: ArrayCode):
-    """(closed, notes) for the code, decided once per ArrayCode instance:
-    the frozen instance keeps its verdict, so verify and min_distance on
-    one code share a single check."""
+    """(closed, notes) for a PRA/PRAC code; see _linear_verdict."""
+    closed, notes, _ = _linear_verdict(code)
+    return closed, list(notes)
+
+
+def _linear_verdict(code: ArrayCode):
+    """(closed, notes, algebraic) for a PRA/PRAC code, decided once per
+    ArrayCode instance: the frozen instance keeps its verdict, so verify
+    and min_distance on one code share a single check. algebraic is True
+    when the ideal verdict settled closure and coverage together."""
     verdict = code.__dict__.get("_closure")
     if verdict is None:
         verdict = _closure_verdict(code)
         object.__setattr__(code, "_closure", verdict)
-    closed, notes = verdict
-    return closed, list(notes)
+    return verdict
 
 
 def _closure_verdict(code: ArrayCode):
+    """The ideal verdict where it shows the code closed and covering,
+    else the literal verdict with its notes."""
+    if _ideal_verdict(code):
+        return True, (), True
+    closed, notes = _literal_closure(code)
+    return closed, notes, False
+
+
+def _gather(a: CyclicArray) -> int:
+    """The rt-bit sequence whose diagonal fold is the coprime r x t array
+    a: bit p holds cell (p mod r, p mod t).
+
+    On one row or one column, cell p holds position p, as in fold.
+    Otherwise row i turned left by i holds the positions p = i + kr in
+    the same column order kr mod t for every row, so the turned rows,
+    read one column at a time in the order of q*r mod t, give the
+    positions in order.
+    """
+    r, t = a.rows, a.cols
+    if r == 1 or t == 1:
+        return a._value
+    turned = "".join(
+        row[i % t :] + row[: i % t] for i, row in enumerate(a.row_strings())
+    )
+    text = "".join(turned[q * r % t :: t] for q in range(t))
+    return int(text[::-1], 2)
+
+
+def _ideal_verdict(code: ArrayCode) -> bool:
+    """True when algebra shows the code closed under shift-and-add with
+    every nonzero n x m window once; False when it cannot say.
+
+    For coprime r and t the fold is a ring isomorphism of
+    GF(2)[x,y]/(x^r - 1, y^t - 1) onto GF(2)[z]/(z^N - 1), N = rt, with
+    2D rotations going to cyclic shifts (Burton & Weldon, IEEE Trans. IT
+    1965; Imai, Inform. Control 1977). So the positioned arrays P are the
+    shifts of the gathered sequences s_1, ..., s_k, and their span is the
+    ideal of g = gcd(z^N - 1, s_1, ..., s_k), of dimension d = N - deg g.
+    The algebra is tried only when the counting identity k*N = 2^(n*m) - 1
+    holds, so P is closed exactly when it is distinct and d = n*m.
+
+    * P is distinct when every s_i has N shifts (none is fixed by the
+      shift by N/p, p a prime dividing N) and the orbits are disjoint.
+      Modulo h = (z^N - 1)/g a shift is a product with z, and z^N = 1,
+      so s_i and s_j share an orbit only if (s_i mod h)^N and
+      (s_j mod h)^N agree; with s_i = g*q_i and g a unit modulo h (N is
+      odd), only if the keys q_i^N mod h agree. When h is irreducible
+      the ideal is the field GF(2)[z]/(h) and z has order N there, so
+      the converse holds too: every folded code of an irreducible
+      register passes. For a reducible h (the product folds) the keys
+      can agree across orbits, and the code falls back.
+    * A closed code covers every nonzero window exactly when the window
+      at anchor (0,0) is a bijection of the ideal onto the n*m-bit
+      words: its cells, read on the basis g*z^i, i < d, have rank d.
+    """
+    r, t, n, m = code.r, code.t, code.n, code.m
+    size, k, d = r * t, len(code.arrays), n * m
+    if not (n >= 1 and m >= 1 and d <= _MAX_WINDOW):
+        return False
+    if k * size != (1 << d) - 1 or gcd(r, t) != 1:
+        return False
+    seqs = [_gather(a) for a in code.arrays]
+    modulus = (1 << size) | 1
+    g = _gcd(modulus, seqs[0])
+    if g.bit_length() - 1 != size - d:
+        return False
+    quotients = []
+    for s in seqs:
+        q, rest = _divmod(s, g)
+        if rest:  # s lies outside the ideal of s_1: d is larger
+            return False
+        quotients.append(q)
+    full = (1 << size) - 1
+    for p in _prime_factors(size):
+        step = size // p
+        for s in seqs:
+            if ((s << step) | (s >> (size - step))) & full == s:
+                return False
+    # row (u, v) holds cell (u, v) of each basis word g*z^i, whose
+    # sequence position p has bit p - i of g; d bits of g shifted by
+    # d - 1 hold them all, highest i first
+    rinv = pow(r, -1, t)
+    spread, low = g << (d - 1), (1 << d) - 1
+    basis = []
+    for u in range(n):
+        i = u % r
+        for v in range(m):
+            row = (spread >> (i + r * ((v - i) * rinv % t))) & low
+            for b in basis:
+                row = min(row, row ^ b)
+            if not row:
+                return False
+            basis.append(row)
+    if k == 1:
+        return True
+    h = _divmod(modulus, g)[0]
+    return len({_pow(q, size, h) for q in quotients}) == k
+
+
+def _literal_closure(code: ArrayCode):
     """Shift-and-add closure over positioned codewords.
 
     The positioned arrays P are closed under adding two distinct members
@@ -279,7 +386,8 @@ def _closure_verdict(code: ArrayCode):
 
 
 def _window_keys(a: CyclicArray, n: int, m: int):
-    """window_key(a, i, j, n, m) for every anchor (i, j), row-major.
+    """The key of the n x m window at every anchor (i, j), row-major: the
+    window's cells packed row-major, the first cell most significant.
 
     An m-bit key rolls along each row, one shift and one mask per cell,
     and gives the row's slice at every column. The n*m-bit key of each
@@ -338,11 +446,15 @@ def verify(code: ArrayCode) -> VerifyReport:
     if not dims_ok:
         notes.append(f"dimension conditions fail for {r}x{t} vs {n}x{m}")
 
+    # a PRA/PRAC code whose ideal verdict holds needs no window walk
+    closure_ok, closure_notes, algebraic = None, (), False
+    if code.kind in _LINEAR_KINDS:
+        closure_ok, closure_notes, algebraic = _linear_verdict(code)
     coverage_ok = True
     if not in_range:
         coverage_ok = False
         notes.append("window size out of supported range")
-    else:
+    elif not algebraic:
         # seen maps each key to the running index of its first anchor,
         # idx*r*t + i*t + j; the anchor text is built only for a note
         seen = {}
@@ -370,14 +482,9 @@ def verify(code: ArrayCode) -> VerifyReport:
             coverage_ok = False
             notes.append(f"coverage: {have} distinct windows, need {want}")
 
-    closure_ok = None
-    if code.kind in _LINEAR_KINDS:
-        closure_ok, closure_notes = _check_closure(code)
-        notes.extend(closure_notes)
-        if closure_ok:
-            notes.append(
-                "closure tested up to 2D rotation of code arrays"
-            )
+    notes.extend(closure_notes)
+    if closure_ok:
+        notes.append("closure tested up to 2D rotation of code arrays")
     return VerifyReport(
         kind=code.kind,
         counting_ok=counting_ok,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from math import gcd
 
-from .arraycode import CyclicArray
+from .arraycode import CyclicArray, _gather
 from .gf2poly import Gf2Poly, is_irreducible, mul, pow_x_mod
 from .lfsr import CyclicSequence, _repeat
 
@@ -65,13 +65,8 @@ def fold(s: CyclicSequence, r: int, t: int) -> CyclicArray:
 
 def unfold(a: CyclicArray) -> CyclicSequence:
     """The unique sequence folding to a; inverse of fold."""
-    r, t = a.rows, a.cols
-    _check_coprime(r, t)
-    turned = "".join(
-        row[i % t :] + row[: i % t] for i, row in enumerate(a.row_strings())
-    )
-    text = "".join(turned[q * r % t :: t] for q in range(t))
-    return CyclicSequence._reduced(int(text[::-1], 2), r * t)
+    _check_coprime(a.rows, a.cols)
+    return CyclicSequence._reduced(_gather(a), a.rows * a.cols)
 
 
 def window_positions(r: int, t: int, n: int, m: int) -> frozenset:

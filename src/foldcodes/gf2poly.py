@@ -152,6 +152,43 @@ def _pow_x(e: int, m: int) -> int:
     return r
 
 
+def _mulmod(a: int, b: int, m: int) -> int:
+    # a*b modulo m for residues a, b of m, by Horner's rule over the bits
+    # of b: shift, reduce at most once, add a for a set bit.
+    top = 1 << (m.bit_length() - 1)
+    r = 0
+    for bit in bin(b)[2:]:
+        r <<= 1
+        if r & top:
+            r ^= m
+        if bit == "1":
+            r ^= a
+    return r
+
+
+def _pow(a: int, e: int, m: int) -> int:
+    # a^e modulo m for a residue a of m and e >= 1, by square and
+    # multiply from the second highest bit of e.
+    r = a
+    for bit in bin(e)[3:]:
+        r = _sqmod(r, m)
+        if bit == "1":
+            r = _mulmod(r, a, m)
+    return r
+
+
+def _divmod(a: int, m: int):
+    # Quotient and remainder of mask a by mask m (m nonzero).
+    dm = m.bit_length()
+    q = 0
+    da = a.bit_length()
+    while da >= dm:
+        q |= 1 << (da - dm)
+        a ^= m << (da - dm)
+        da = a.bit_length()
+    return q, a
+
+
 def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, _mod(a, b)
@@ -169,6 +206,16 @@ def _prime_factors(n: int) -> list:
     if n > 1:
         out.append(n)
     return out
+
+
+def _irreducible_order(m: int) -> int:
+    # Order of x modulo the irreducible mask m (constant term 1), by the
+    # prime descent from 2^deg - 1 that exponent describes.
+    order = (1 << (m.bit_length() - 1)) - 1
+    for p in _prime_factors(order):
+        while order % p == 0 and _pow_x(order // p, m) == 1:
+            order //= p
+    return order
 
 
 def pow_x_mod(e: int, f: Gf2Poly) -> Gf2Poly:
@@ -225,11 +272,7 @@ def exponent(f: Gf2Poly) -> int:
     n = f.degree
     m = f.mask
     if is_irreducible(f):
-        order = (1 << n) - 1
-        for p in _prime_factors(order):
-            while order % p == 0 and _pow_x(order // p, m) == 1:
-                order //= p
-        return order
+        return _irreducible_order(m)
     r, k, cap = _mod(2, m), 1, 1 << n
     while r != 1:
         r <<= 1
@@ -252,7 +295,7 @@ def is_primitive(f: Gf2Poly) -> bool:
         return False
     if not (f.mask & 1):
         return False  # f = x has no exponent
-    return exponent(f) == (1 << f.degree) - 1
+    return _irreducible_order(f.mask) == (1 << f.degree) - 1
 
 
 def enumerate_irreducible(n: int, e: int | None = None) -> list:
@@ -279,11 +322,13 @@ def enumerate_irreducible(n: int, e: int | None = None) -> list:
     masks = _irreducible_masks(n)
     if e is not None:
         primes = _prime_factors(e)
+        # x^(2^n - 1) = 1 modulo every irreducible of degree n but x
+        full = e == (1 << n) - 1
         masks = [
             mask
             for mask in masks
             if mask & 1  # f = x has no exponent
-            and _pow_x(e, mask) == 1
+            and (full or _pow_x(e, mask) == 1)
             and all(_pow_x(e // p, mask) != 1 for p in primes)
         ]
     return [Gf2Poly(mask) for mask in masks]

@@ -1,23 +1,29 @@
 """Tests for cyclic arrays and the array code verifier.
 
-Oracles: naive index-arithmetic implementations of shift, window and the
-shift-and-add closure quantifier (all ordered pairs of positioned
-codewords, membership up to rotation), plus the pairwise closure scan and
-pairwise minimum distance that the rank closure and the minimum-weight
-distance replaced.
+Oracles: naive index-arithmetic implementations of shift, window, window
+key and the shift-and-add closure quantifier (all ordered pairs of
+positioned codewords, membership up to rotation), plus the pairwise
+closure scan and pairwise minimum distance that the rank closure and the
+minimum-weight distance replaced. verify's literal path (rotation set,
+Gray walk, window dict) is the oracle of its ideal verdict.
 """
 
 import random
+from itertools import chain, repeat
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foldcodes.arraycode as arraycode
 from foldcodes.arraycode import (
     ArrayCode,
     CyclicArray,
     VerifyReport,
     _check_closure,
+    _ideal_verdict,
+    _linear_verdict,
     _packed_shifts,
     _window_keys,
     add2d,
@@ -25,8 +31,6 @@ from foldcodes.arraycode import (
     min_distance,
     shift2d,
     verify,
-    window,
-    window_key,
 )
 from foldcodes.constructions import (
     PreconditionError,
@@ -34,7 +38,9 @@ from foldcodes.constructions import (
     experiment_exponent_family,
     experiment_product_fold,
 )
+from foldcodes.folding import fold
 from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible
+from foldcodes.lfsr import generate_cycles
 
 FOLDPR = CyclicArray(["01010", "10001", "11011"])
 FOLDPM_MID = CyclicArray(["11110", "10010", "01100"])
@@ -62,9 +68,20 @@ def shift_oracle(a, dv, dh):
 
 
 def window_oracle(a, i, j, n, m):
+    """The n x m sub-matrix anchored at (i, j), wrapping cyclically."""
     return tuple(
         tuple(a.cell(i + u, j + v) for v in range(m)) for u in range(n)
     )
+
+
+def window_key_oracle(a, i, j, n, m):
+    """The window packed row-major into an integer, first cell most
+    significant."""
+    key = 0
+    for u in range(n):
+        for v in range(m):
+            key = (key << 1) | a.cell(i + u, j + v)
+    return key
 
 
 def closure_oracle(code):
@@ -347,11 +364,10 @@ def test_shift2d_matches_oracle():
 
 
 def test_window_examples():
-    assert window(FOLDPR, 0, 0, 2, 2) == ((0, 1), (1, 0))
-    assert window(FOLDPR, 2, 4, 2, 2) == ((1, 1), (0, 0))
-    assert window(FOLDPR, 1, 3, 1, 1) == ((0,),)
-    with pytest.raises(ValueError):
-        window(FOLDPR, 0, 0, 0, 2)
+    assert window_oracle(FOLDPR, 0, 0, 2, 2) == ((0, 1), (1, 0))
+    assert window_oracle(FOLDPR, 2, 4, 2, 2) == ((1, 1), (0, 0))
+    assert window_oracle(FOLDPR, 1, 3, 1, 1) == ((0,),)
+    assert window_key_oracle(FOLDPR, 2, 4, 2, 2) == 0b1100
 
 
 def test_window_matches_oracle_and_key_packing():
@@ -361,13 +377,11 @@ def test_window_matches_oracle_and_key_packing():
         a = random_array(rng, r, t)
         i, j = rng.randrange(-3, 9), rng.randrange(-3, 9)
         n, m = rng.randrange(1, 4), rng.randrange(1, 4)
-        w = window(a, i, j, n, m)
-        assert w == window_oracle(a, i, j, n, m)
         key = 0
-        for row in w:
+        for row in window_oracle(a, i, j, n, m):
             for bit in row:
                 key = (key << 1) | bit
-        assert key == window_key(a, i, j, n, m)
+        assert key == window_key_oracle(a, i, j, n, m)
 
 
 def test_packed_shifts_match_shift_oracle():
@@ -511,11 +525,10 @@ def test_report_verdict_logic():
 # ----------------------------------------- fast oracles vs pairwise scans
 
 
-def _folded_codes():
-    """Every folded code construct_prac_fold makes through degree 8, plus
-    the codes of the exponent-family and product-fold experiments."""
+def _prac_folds(max_degree):
+    """Every code construct_prac_fold makes through max_degree."""
     codes = []
-    for deg in range(2, 9):
+    for deg in range(2, max_degree + 1):
         for f in enumerate_irreducible(deg):
             for n in range(1, deg + 1):
                 if deg % n:
@@ -524,7 +537,40 @@ def _folded_codes():
                     rep = construct_prac_fold(f, n, deg // n)
                 except PreconditionError:
                     continue
-                codes.append(rep.produced)
+                if rep.produced.arrays:
+                    codes.append(rep.produced)
+    return codes
+
+
+def _product_folds():
+    """The codes of product-fold experiments: the cycles of f*g for two
+    irreducibles of one exponent. The quartics' (4,2) windows on 3 x 5 are
+    dependent, so that code fails coverage."""
+    codes = []
+    for f, g, shapes in (
+        (
+            "x^4+x+1",
+            "x^4+x^3+1",
+            ((3, 5, 2, 4), (5, 3, 4, 2), (15, 1, 4, 2), (3, 5, 4, 2)),
+        ),
+        ("x^3+x+1", "x^3+x^2+1", ((1, 7, 2, 3),)),
+        ("x^5+x^2+1", "x^5+x^3+1", ((1, 31, 1, 10),)),
+    ):
+        f, g = Gf2Poly.parse(f), Gf2Poly.parse(g)
+        for r, t, n, m in shapes:
+            codes.append(experiment_product_fold(f, g, r, t, n, m).produced)
+    return codes
+
+
+PRAC_FOLDS = _prac_folds(10)
+PRODUCT_FOLDS = _product_folds()
+
+
+def _folded_codes():
+    """Every folded code construct_prac_fold makes through degree 8, plus
+    the codes of the exponent-family and product-fold experiments up to
+    255 positioned arrays."""
+    codes = [code for code in PRAC_FOLDS if code.n * code.m <= 8]
     for deg, e, r, t, n, m in (
         (4, 15, 3, 5, 2, 2),
         (6, 21, 3, 7, 2, 3),
@@ -537,12 +583,11 @@ def _folded_codes():
             rep.produced
             for rep in experiment_exponent_family(deg, e, r, t, n, m)
         ]
-    f, g = Gf2Poly.parse("x^4+x+1"), Gf2Poly.parse("x^4+x^3+1")
-    for r, t, n, m in ((3, 5, 2, 4), (5, 3, 4, 2), (15, 1, 4, 2)):
-        codes.append(experiment_product_fold(f, g, r, t, n, m).produced)
-    f, g = Gf2Poly.parse("x^3+x+1"), Gf2Poly.parse("x^3+x^2+1")
-    codes.append(experiment_product_fold(f, g, 1, 7, 2, 3).produced)
-    return [code for code in codes if code.arrays]
+    return codes + [
+        code
+        for code in PRODUCT_FOLDS
+        if len(code.arrays) * code.r * code.t <= 255
+    ]
 
 
 FOLDED = _folded_codes()
@@ -550,10 +595,15 @@ FOLDED = _folded_codes()
 
 def _perturb(code, how, k, i, j):
     """code with one change to its array list: a cell of array k flipped,
-    array k dropped or duplicated, or a rotation of array k added."""
+    array k dropped or duplicated, a rotation of array k added, array k
+    rotated, or array k replaced by a rotation of the next array."""
     arrays = list(code.arrays)
     k %= len(arrays)
-    if how == "flip":
+    if how == "turn":
+        arrays[k] = shift2d(arrays[k], i, j)
+    elif how == "twin":
+        arrays[k] = shift2d(arrays[(k + 1) % len(arrays)], i, j)
+    elif how == "flip":
         a = arrays[k]
         rows = list(a.rowmasks)
         rows[i % a.rows] ^= 1 << (j % a.cols)
@@ -623,6 +673,140 @@ def test_closure_failure_note_states_span_size():
     )
 
 
+# ------------------------------------------ ideal verdict vs literal path
+
+
+def literal_report(code):
+    """verify's report on a fresh copy of code with the ideal verdict
+    switched off, so the rotation set, the Gray walk and the window dict
+    decide."""
+    fresh = ArrayCode(
+        code.kind, code.r, code.t, code.n, code.m, code.arrays
+    )
+    with mock.patch.object(arraycode, "_ideal_verdict", lambda code: False):
+        return verify(fresh)
+
+
+def window_coverage_oracle(code):
+    """Every nonzero n x m window exactly once over all anchors."""
+    keys = [
+        window_key_oracle(a, i, j, code.n, code.m)
+        for a in code.arrays
+        for i in range(code.r)
+        for j in range(code.t)
+    ]
+    want = (1 << (code.n * code.m)) - 1
+    return 0 not in keys and len(set(keys)) == len(keys) == want
+
+
+def _ideal_cases():
+    """(name, code, whether the ideal verdict holds) for codes that reach
+    each of its steps."""
+    P = Gf2Poly.parse
+    quartic = generate_cycles(P("x^4+x^3+x^2+x+1")).members[0]
+    return [
+        ("FOLDPR", ArrayCode("PRA", 3, 5, 2, 2, (FOLDPR,)), True),
+        ("PRAC37", PRAC37_CODE, True),
+        ("PRAC37 turned", _perturb(PRAC37_CODE, "turn", 1, 2, 5), True),
+        # the count fails
+        ("PRAC37 dropped", _perturb(PRAC37_CODE, "drop", 0, 0, 0), False),
+        # s_1 spans the whole ring: the dimension is not 6
+        ("PRAC37 flipped", _perturb(PRAC37_CODE, "flip", 0, 1, 2), False),
+        # s_2 lies outside the ideal of s_1
+        (
+            "PRAC37 flipped late",
+            _perturb(PRAC37_CODE, "flip", 1, 1, 2),
+            False,
+        ),
+        # two members share an orbit: the keys q_i^N collide
+        ("PRAC37 twinned", _perturb(PRAC37_CODE, "twin", 0, 1, 3), False),
+        # period 5 in 15 cells: the shift by 5 fixes it, though the
+        # (1,4) windows have full rank
+        (
+            "period 5 on 1x15",
+            ArrayCode("PRA", 1, 15, 1, 4, (fold(quartic, 1, 15),)),
+            False,
+        ),
+        # closed, but the (2,3) windows have rank below 6
+        (
+            "x^6+x+1 on 7x9",
+            experiment_exponent_family(6, 63, 7, 9, 2, 3)[0].produced,
+            False,
+        ),
+        # a verified product fold: h is reducible and the keys collide
+        (
+            "cubic product on 1x7",
+            experiment_product_fold(
+                P("x^3+x+1"), P("x^3+x^2+1"), 1, 7, 2, 3
+            ).produced,
+            False,
+        ),
+    ]
+
+
+IDEAL_CASES = _ideal_cases()
+
+
+@pytest.mark.parametrize(
+    "code, holds",
+    [case[1:] for case in IDEAL_CASES],
+    ids=[case[0] for case in IDEAL_CASES],
+)
+def test_ideal_verdict_matches_the_literal_oracles(code, holds):
+    assert _ideal_verdict(code) is holds
+    rep = verify(code)
+    assert _linear_verdict(code)[2] is holds
+    assert rep == literal_report(code)
+    assert rep.closure_ok is closure_oracle(code) is pairwise_closure(code)
+    assert rep.coverage_ok is window_coverage_oracle(code)
+    if holds:
+        assert rep.ok and rep.notes == (
+            "closure tested up to 2D rotation of code arrays",
+        )
+
+
+def test_folds_to_degree_10_take_the_ideal_path():
+    # every prac fold takes the ideal path; the product folds, whose h
+    # is reducible, fall back and still get the literal report
+    assert len(PRAC_FOLDS) > 600
+    for code, irreducible in chain(
+        zip(PRAC_FOLDS, repeat(True)), zip(PRODUCT_FOLDS, repeat(False))
+    ):
+        fresh = ArrayCode(
+            code.kind, code.r, code.t, code.n, code.m, code.arrays
+        )
+        rep = verify(fresh)
+        assert _linear_verdict(fresh)[2] is irreducible
+        assert rep == literal_report(code)
+        assert rep.ok or not irreducible
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_perturbed_folds_match_the_literal_path(data):
+    code, irreducible = data.draw(
+        st.one_of(
+            st.sampled_from([(code, True) for code in PRAC_FOLDS]),
+            st.sampled_from([(code, False) for code in PRODUCT_FOLDS]),
+        )
+    )
+    hows = ("flip", "drop", "duplicate", "rotate", "turn", "twin")
+    how = data.draw(st.sampled_from(hows))
+    k = data.draw(st.integers(0, len(code.arrays) - 1))
+    i = data.draw(st.integers(0, code.r - 1))
+    j = data.draw(st.integers(0, code.t - 1))
+    code = _perturb(code, how, k, i, j)
+    if not code.arrays:
+        return
+    rep = verify(code)
+    assert rep == literal_report(code)
+    # the ideal path runs on exactly the perturbed codes of an
+    # irreducible fold that still verify: a rotated member, or a twin
+    # of the only member
+    passing = rep.counting_ok and rep.coverage_ok and rep.closure_ok
+    assert _linear_verdict(code)[2] is (irreducible and passing)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_window_keys_match_window_key_in_anchor_order(data):
@@ -632,7 +816,7 @@ def test_window_keys_match_window_key_in_anchor_order(data):
     masks = data.draw(st.lists(row, min_size=r, max_size=r))
     a = CyclicArray.from_rowmasks(masks, t)
     assert list(_window_keys(a, n, m)) == [
-        window_key(a, i, j, n, m) for i in range(r) for j in range(t)
+        window_key_oracle(a, i, j, n, m) for i in range(r) for j in range(t)
     ]
 
 

@@ -12,6 +12,9 @@ import pytest
 
 from foldcodes.gf2poly import (
     Gf2Poly,
+    _divmod,
+    _mulmod,
+    _pow,
     enumerate_irreducible,
     euler_phi,
     exponent,
@@ -159,6 +162,25 @@ def test_pow_x_mod_matches_oracle():
         m = rng.randrange(2, 1 << 10)
         e = rng.randrange(0, 200)
         assert pow_x_mod(e, Gf2Poly(m)).mask == pow_x_oracle(e, m)
+
+
+def test_residue_arithmetic_matches_oracle():
+    # the quotient, product and power of residues that the ideal verdict
+    # of arraycode uses, on moduli up to degree 32
+    rng = random.Random(13)
+    for _ in range(300):
+        m = rng.randrange(2, 1 << rng.randrange(2, 34))
+        a, b = rng.randrange(1 << 40), rng.randrange(1 << 40)
+        q, rest = _divmod(b, m)
+        assert rest == mod_oracle(b, m)
+        assert mul_oracle(q, m) ^ rest == b
+        a, b = mod_oracle(a, m), mod_oracle(b, m)
+        assert _mulmod(a, b, m) == mod_oracle(mul_oracle(a, b), m)
+        e = rng.randrange(1, 80)
+        power = a
+        for _ in range(e - 1):
+            power = mod_oracle(mul_oracle(power, a), m)
+        assert _pow(a, e, m) == power
 
 
 def test_pow_x_mod_errors():
@@ -323,13 +345,15 @@ def test_counting_identities_to_degree_12():
 
 
 def test_enumerate_with_exponent_filter_matches_census():
-    for n in (4, 6, 8):
-        polys = [f for f in enumerate_irreducible(n) if f.mask & 1]
-        by_exp = {}
-        for f in polys:
-            by_exp.setdefault(exponent(f), []).append(f)
-        for e, group in by_exp.items():
-            assert enumerate_irreducible(n, e) == group
+    # every divisor e of 2^n - 1, e = 2^n - 1 (no x^e test) and the
+    # divisors that are the exponent of no degree-n polynomial included
+    for n in range(1, 13):
+        polys = [
+            (f, exponent(f)) for f in enumerate_irreducible(n) if f.mask & 1
+        ]
+        for e in divisors_oracle((1 << n) - 1):
+            group = [f for f, order in polys if order == e]
+            assert enumerate_irreducible(n, e) == group, (n, e)
 
 
 # ------------------------------------------- sieve and order, differential
@@ -393,4 +417,6 @@ def test_exponent_matches_divisor_scan_to_degree_12():
     for n in range(1, 13):
         for f in enumerate_irreducible(n):
             if f.mask & 1:
-                assert exponent(f) == exponent_divisor_scan(f), f
+                e = exponent_divisor_scan(f)
+                assert exponent(f) == e, f
+                assert is_primitive(f) == (e == (1 << n) - 1), f
