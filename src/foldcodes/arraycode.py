@@ -44,11 +44,11 @@ the minimum array weight; every other code is scanned pairwise, up to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from itertools import chain, combinations
 from math import gcd
 
-from .gf2poly import _divmod, _gcd, _pow, _prime_factors
+from .gf2poly import _divmod, _gcd, _independent, _pow, _prime_factors
 
 KINDS = ("PM", "SPM", "PRA", "DBAC", "SDBAC", "PRAC")
 _FULL_KINDS = frozenset(("PM", "DBAC"))
@@ -217,36 +217,44 @@ class VerifyReport:
         return all(parts)
 
 
-def _positioned(code: ArrayCode) -> set:
-    """The packed form of every 2D rotation of every array."""
-    return set(chain.from_iterable(map(_packed_shifts, code.arrays)))
-
-
-def _check_closure(code: ArrayCode):
-    """(closed, notes) for a PRA/PRAC code; see _linear_verdict."""
-    closed, notes, _ = _linear_verdict(code)
-    return closed, list(notes)
+def _positioned(code: ArrayCode):
+    """The packed form of every 2D rotation of every array, one at a time."""
+    return chain.from_iterable(map(_packed_shifts, code.arrays))
 
 
 def _linear_verdict(code: ArrayCode):
-    """(closed, notes, algebraic) for a PRA/PRAC code, decided once per
-    ArrayCode instance: the frozen instance keeps its verdict, so verify
-    and min_distance on one code share a single check. algebraic is True
-    when the ideal verdict settled closure and coverage together."""
+    """(closed, notes, algebraic) for a PRA/PRAC code: the ideal verdict
+    where it shows the code closed and covering, else the literal verdict
+    with its notes. algebraic is True when the ideal verdict settled
+    closure and coverage together. It is decided once per ArrayCode
+    instance: the frozen instance keeps its verdict, so verify and
+    min_distance on one code share a single check."""
     verdict = code.__dict__.get("_closure")
     if verdict is None:
-        verdict = _closure_verdict(code)
+        if _ideal_verdict(code):
+            verdict = True, (), True
+        else:
+            verdict = (*_literal_closure(code), False)
         object.__setattr__(code, "_closure", verdict)
     return verdict
 
 
-def _closure_verdict(code: ArrayCode):
-    """The ideal verdict where it shows the code closed and covering,
-    else the literal verdict with its notes."""
-    if _ideal_verdict(code):
-        return True, (), True
-    closed, notes = _literal_closure(code)
-    return closed, notes, False
+def _turn(value: int, k: int, n: int) -> int:
+    """The n-bit value turned so that bit p of the result is bit p + k."""
+    return ((value >> k) | (value << (n - k))) & ((1 << n) - 1)
+
+
+def _minimal_period(value: int, n: int) -> int:
+    """The minimal period of the n-bit cyclic sequence value (bit p
+    holding s_p), the packed form of its 1 x n array."""
+    # The periods of a cyclic sequence that divide its length n are the
+    # multiples of the minimal one, so d/p is tested for each prime p | n,
+    # starting from d = n, and p divided out while d/p is still a period.
+    d = n
+    for p in _prime_factors(n):
+        while d % p == 0 and _turn(value, d // p, n) == value:
+            d //= p
+    return d
 
 
 def _gather(a: CyclicArray) -> int:
@@ -267,6 +275,17 @@ def _gather(a: CyclicArray) -> int:
     )
     text = "".join(turned[q * r % t :: t] for q in range(t))
     return int(text[::-1], 2)
+
+
+def _window_cells(r: int, t: int, n: int, m: int):
+    """The sequence position of each cell (u, v), u < n and v < m, of the
+    n x m window at anchor (0,0) of a coprime r x t fold, row-major: the
+    p in [0, rt) with p = u mod r and p = v mod t, by the CRT."""
+    rinv = pow(r, -1, t)
+    for u in range(n):
+        i = u % r
+        for v in range(m):
+            yield i + r * ((v - i) * rinv % t)
 
 
 def _ideal_verdict(code: ArrayCode) -> bool:
@@ -313,27 +332,15 @@ def _ideal_verdict(code: ArrayCode) -> bool:
         if rest:  # s lies outside the ideal of s_1: d is larger
             return False
         quotients.append(q)
-    full = (1 << size) - 1
-    for p in _prime_factors(size):
-        step = size // p
-        for s in seqs:
-            if ((s << step) | (s >> (size - step))) & full == s:
-                return False
+    if any(_minimal_period(s, size) != size for s in seqs):
+        return False
     # row (u, v) holds cell (u, v) of each basis word g*z^i, whose
     # sequence position p has bit p - i of g; d bits of g shifted by
     # d - 1 hold them all, highest i first
-    rinv = pow(r, -1, t)
     spread, low = g << (d - 1), (1 << d) - 1
-    basis = []
-    for u in range(n):
-        i = u % r
-        for v in range(m):
-            row = (spread >> (i + r * ((v - i) * rinv % t))) & low
-            for b in basis:
-                row = min(row, row ^ b)
-            if not row:
-                return False
-            basis.append(row)
+    rows = ((spread >> p) & low for p in _window_cells(r, t, n, m))
+    if not _independent(rows):
+        return False
     if k == 1:
         return True
     h = _divmod(modulus, g)[0]
@@ -351,7 +358,7 @@ def _literal_closure(code: ArrayCode):
     leading bit, and their span, walked in Gray-code order, must lie in
     P u {0}; the first span word outside P shows a rank above k.
     """
-    positioned = _positioned(code)
+    positioned = set(_positioned(code))
     expect = len(code.arrays) * code.r * code.t
     if len(positioned) != expect:
         return False, (
@@ -509,20 +516,15 @@ def min_distance(code: ArrayCode) -> int:
         raise ValueError("empty code")
     if code.kind in _LINEAR_KINDS:
         wmin = min(a.weight() for a in code.arrays)
-        if wmin and _check_closure(code)[0]:
+        if wmin and _linear_verdict(code)[0]:
             return wmin
-    words = _positioned(code)
-    if code.kind not in _FULL_KINDS:
-        words.add(0)
-    words = sorted(words)
+    # collecting stops at the 1025th distinct word, so a large code is
+    # refused without holding its rotations
+    words = set() if code.kind in _FULL_KINDS else {0}
+    for w in _positioned(code):
+        words.add(w)
+        if len(words) > 1024:
+            raise ValueError("code too large for pairwise distance")
     if len(words) < 2:
         raise ValueError("code has fewer than two distinct codewords")
-    if len(words) > 1024:
-        raise ValueError("code too large for pairwise distance")
-    best = None
-    for i, w in enumerate(words):
-        for v in words[i + 1 :]:
-            d = (w ^ v).bit_count()
-            if best is None or d < best:
-                best = d
-    return best
+    return min((w ^ v).bit_count() for w, v in combinations(words, 2))

@@ -11,8 +11,8 @@ from __future__ import annotations
 import warnings
 from math import gcd
 
-from .arraycode import CyclicArray, _gather
-from .gf2poly import Gf2Poly, is_irreducible, mul, pow_x_mod
+from .arraycode import CyclicArray, _gather, _window_cells
+from .gf2poly import Gf2Poly, _independent, is_irreducible, mul, pow_x_mod
 from .lfsr import CyclicSequence, _repeat
 
 
@@ -78,14 +78,7 @@ def window_positions(r: int, t: int, n: int, m: int) -> frozenset:
     _check_coprime(r, t)
     if not (1 <= n <= r and 1 <= m <= t):
         raise ValueError(f"{n}x{m} window does not fit in {r}x{t}")
-    if r == 1:
-        return frozenset(range(m))
-    inv = pow(r, -1, t)
-    out = set()
-    for i in range(n):
-        for j in range(m):
-            out.add((i + r * (((j - i) * inv) % t)) % (r * t))
-    return frozenset(out)
+    return frozenset(_window_cells(r, t, n, m))
 
 
 def positions_independent(f: Gf2Poly, R) -> bool:
@@ -104,15 +97,7 @@ def positions_independent(f: Gf2Poly, R) -> bool:
             "residues are always dependent"
         )
         return False
-    basis = []  # reduced rows, distinct leading bits
-    for p in positions:
-        row = pow_x_mod(p, f).mask
-        for b in basis:
-            row = min(row, row ^ b)
-        if row == 0:
-            return False
-        basis.append(row)
-    return True
+    return _independent(pow_x_mod(p, f).mask for p in positions)
 
 
 def set_polynomial(R) -> Gf2Poly:

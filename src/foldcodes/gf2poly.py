@@ -195,6 +195,20 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
+def _independent(rows) -> bool:
+    # Whether the masks in rows are linearly independent over GF(2), by
+    # elimination: each row is reduced by the rows kept so far, which
+    # have distinct leading bits, and a row reduced to zero depends on them.
+    basis = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if not row:
+            return False
+        basis.append(row)
+    return True
+
+
 def _prime_factors(n: int) -> list:
     out, d = [], 2
     while d * d <= n:

@@ -11,14 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arraycode import CyclicArray, _window_keys
-from .gf2poly import (
-    Gf2Poly,
-    _prime_factors,
-    exponent,
-    is_irreducible,
-    is_primitive,
-)
+from .arraycode import CyclicArray, _minimal_period, _turn, _window_keys
+from .gf2poly import Gf2Poly, _irreducible_order, is_irreducible, is_primitive
 
 __all__ = [
     "CyclicSequence",
@@ -31,36 +25,17 @@ __all__ = [
     "verify_perfect_factor",
     "shift",
     "add_seq",
-    "shift_and_add_check",
     "d_morphism",
     "d_inverse",
-    "d_inverse_bits",
-    "weight_parity",
     "debruijn_sequence",
     "debruijn_from_primitive",
 ]
-
-
-def _turn(value: int, k: int, n: int) -> int:
-    """The n-bit value turned so that bit p of the result is bit p + k."""
-    return ((value >> k) | (value << (n - k))) & ((1 << n) - 1)
 
 
 def _repeat(value: int, length: int, size: int) -> int:
     """The length-bit value repeated out to size bits; length divides size."""
     # v * (2^L - 1) / (2^l - 1) repeats the l bits of v out to L bits
     return value * (((1 << size) - 1) // ((1 << length) - 1))
-
-
-def _minimal_period(value: int, n: int) -> int:
-    # The periods of a cyclic sequence that divide its length n are the
-    # multiples of the minimal one, so d/p is tested for each prime p | n,
-    # starting from d = n, and p divided out while d/p is still a period.
-    d = n
-    for p in _prime_factors(n):
-        while d % p == 0 and _turn(value, d // p, n) == value:
-            d //= p
-    return d
 
 
 def _least_rotation(s: str) -> int:
@@ -290,7 +265,7 @@ def m_sequence(f: Gf2Poly) -> CyclicSequence:
         raise ValueError(f"not primitive: {f} is reducible")
     if not (f.mask & 1):
         raise ValueError("not primitive: x has no exponent")
-    e, full = exponent(f), (1 << f.degree) - 1
+    e, full = _irreducible_order(f.mask), (1 << f.degree) - 1
     if e != full:
         raise ValueError(f"not primitive: exponent of {f} is {e}, not {full}")
     _check_degree(f.degree)
@@ -344,34 +319,10 @@ def add_seq(s: CyclicSequence, u: CyclicSequence) -> CyclicSequence:
     return CyclicSequence._reduced(a ^ b, max(la, lb))
 
 
-def shift_and_add_check(s: CyclicSequence) -> bool:
-    """True iff s + E^i s is a rotation of s for every i in 1..len-1."""
-    v, L, doubled = s.packed(), len(s), s.digits() * 2
-    return all(
-        format(v ^ _turn(v, i, L), f"0{L}b")[::-1] in doubled
-        for i in range(1, L)
-    )
-
-
 def d_morphism(s: CyclicSequence) -> CyclicSequence:
     """The derivative D: position i of the result is s_i + s_{i+1}."""
     v, L = s.packed(), len(s)
     return CyclicSequence._reduced(v ^ _turn(v, 1, L), L)
-
-
-def d_inverse_bits(bits, choice: int) -> tuple:
-    """Length-preserving D-preimage of an even-weight bit vector.
-
-    Entry 0 is ``choice`` and entry i+1 is entry i plus bits[i]; even
-    weight makes the prefix sums consistent around the wrap.
-    """
-    bits = tuple(int(b) for b in bits)
-    if sum(bits) % 2:
-        raise ValueError("no length-preserving D-preimage: weight is odd")
-    out = [int(choice)]
-    for b in bits[:-1]:
-        out.append(out[-1] ^ b)
-    return tuple(out)
 
 
 def d_inverse(s: CyclicSequence, choice: int) -> CyclicSequence:
@@ -391,11 +342,6 @@ def d_inverse(s: CyclicSequence, choice: int) -> CyclicSequence:
     full = (1 << L) - 1
     v = (v << 1) & full
     return CyclicSequence._reduced(v ^ full if choice else v, L)
-
-
-def weight_parity(s: CyclicSequence) -> str:
-    """Parity of the number of ones in one period: "even" or "odd"."""
-    return "odd" if s.weight % 2 else "even"
 
 
 def debruijn_sequence(n: int) -> CyclicSequence:

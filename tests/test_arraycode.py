@@ -9,6 +9,7 @@ Gray walk, window dict) is the oracle of its ideal verdict.
 """
 
 import random
+import tracemalloc
 from itertools import chain, repeat
 from unittest import mock
 
@@ -21,7 +22,6 @@ from foldcodes.arraycode import (
     ArrayCode,
     CyclicArray,
     VerifyReport,
-    _check_closure,
     _ideal_verdict,
     _linear_verdict,
     _packed_shifts,
@@ -40,7 +40,7 @@ from foldcodes.constructions import (
 )
 from foldcodes.folding import fold
 from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible
-from foldcodes.lfsr import generate_cycles
+from foldcodes.lfsr import generate_cycles, m_sequence
 
 FOLDPR = CyclicArray(["01010", "10001", "11011"])
 FOLDPM_MID = CyclicArray(["11110", "10010", "01100"])
@@ -469,14 +469,14 @@ def test_verify_invariant_under_member_shifts():
 
 
 def test_closure_matches_literal_oracle():
-    ok, _ = _check_closure(PRAC37_CODE)
+    ok, _ = _linear_verdict(PRAC37_CODE)[:2]
     assert ok is True
     assert closure_oracle(PRAC37_CODE) is True
     # breaking one bit must fail both
     rows = PRAC37[0].row_strings()
     broken = CyclicArray(["1" + rows[0][1:], rows[1], rows[2]])
     bad = ArrayCode("PRAC", 3, 7, 2, 3, (broken,) + PRAC37[1:])
-    ok, _ = _check_closure(bad)
+    ok, _ = _linear_verdict(bad)[:2]
     assert ok is False
     assert closure_oracle(bad) is False
 
@@ -508,6 +508,23 @@ def test_min_distance_tiny_cases():
     assert min_distance(pm) == 2
     with pytest.raises(ValueError):
         min_distance(ArrayCode("PM", 1, 2, 1, 1, ()))
+
+
+def test_min_distance_refuses_a_large_code_in_bounded_memory():
+    # the 65,535 rotations of this array hold over 500 MB; the pairwise
+    # scan gives up at the 1025th distinct word instead
+    f = Gf2Poly.parse("x^16+x^12+x^3+x+1")
+    code = ArrayCode("SPM", 257, 255, 2, 2, (fold(m_sequence(f), 257, 255),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match="^code too large for pairwise distance$"
+        ):
+            min_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def test_min_distance_weight_mode_agrees_by_construction():
@@ -618,7 +635,7 @@ def _perturb(code, how, k, i, j):
 
 
 def _assert_matches_pairwise(code):
-    closed, notes = _check_closure(code)
+    closed, notes = _linear_verdict(code)[:2]
     assert closed is pairwise_closure(code)
     if not closed:
         assert len(notes) == 1
@@ -638,7 +655,7 @@ def test_folded_codes_match_pairwise_oracles():
         len(code.arrays) * code.r * code.t <= 255 for code in FOLDED
     )
     for code in FOLDED:
-        assert _check_closure(code) == (True, [])
+        assert _linear_verdict(code)[:2] == (True, ())
         _assert_matches_pairwise(code)
 
 
@@ -664,12 +681,12 @@ def test_one_by_one_closure_matches_pairwise(cells):
 
 def test_closure_failure_note_states_span_size():
     dropped = ArrayCode("PRAC", 3, 7, 2, 3, PRAC37[1:])
-    assert _check_closure(dropped) == (
+    assert _linear_verdict(dropped)[:2] == (
         False,
-        [
+        (
             "positioned arrays span at least 64 words, more than "
-            "|P| + 1 = 43: not closed under shift-and-add"
-        ],
+            "|P| + 1 = 43: not closed under shift-and-add",
+        ),
     )
 
 
@@ -824,13 +841,16 @@ def test_min_distance_reuses_the_closure_verdict_of_verify(monkeypatch):
     import foldcodes.arraycode as arraycode
 
     calls = []
-    literal = arraycode._closure_verdict
 
-    def counted(code):
-        calls.append(code)
-        return literal(code)
+    def counted(verdict):
+        def call(code):
+            calls.append(code)
+            return verdict(code)
 
-    monkeypatch.setattr(arraycode, "_closure_verdict", counted)
+        return call
+
+    for name in ("_ideal_verdict", "_literal_closure"):
+        monkeypatch.setattr(arraycode, name, counted(getattr(arraycode, name)))
     code = ArrayCode("PRAC", 3, 7, 2, 3, PRAC37)
     assert verify(code).ok
     assert min_distance(code) == 8

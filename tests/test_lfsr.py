@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldcodes.arraycode import CyclicArray, _window_keys
+from foldcodes.arraycode import ArrayCode, CyclicArray, _window_keys, verify
 from foldcodes.constructions import (
     NonexistenceError,
     SearchExhausted,
@@ -33,17 +33,14 @@ from foldcodes.lfsr import (
     SequenceFamily,
     add_seq,
     d_inverse,
-    d_inverse_bits,
     d_morphism,
     debruijn_from_primitive,
     debruijn_sequence,
     generate_cycles,
     m_sequence,
     shift,
-    shift_and_add_check,
     verify_perfect_factor,
     verify_zero_factor,
-    weight_parity,
 )
 
 P = Gf2Poly.parse
@@ -255,16 +252,36 @@ def test_add_seq_length_rules():
         add_seq(CyclicSequence("011"), CyclicSequence("0011"))
 
 
+def shift_and_add_oracle(s: CyclicSequence) -> bool:
+    """True iff s + E^i s is a rotation of s for every i in 1..len-1."""
+    v, L, doubled = s.packed(), len(s), s.digits() * 2
+    return all(
+        format(v ^ shift(s, i).packed(), f"0{L}b")[::-1] in doubled
+        for i in range(1, L)
+    )
+
+
+def pra_closure(s: CyclicSequence, n: int) -> bool:
+    """verify's closure verdict on the 1 x L PRA of s with 1 x n windows."""
+    code = ArrayCode("PRA", 1, len(s), 1, n, (fold(s, 1, len(s)),))
+    return verify(code).closure_ok
+
+
 def test_shift_and_add_check():
-    assert shift_and_add_check(CyclicSequence("000111101011001"))
-    assert shift_and_add_check(CyclicSequence("011"))
-    assert not shift_and_add_check(CyclicSequence("01101"))
+    for digits, n, closed in [
+        ("000111101011001", 4, True),
+        ("011", 2, True),
+        ("01101", 2, False),
+    ]:
+        s = CyclicSequence(digits)
+        assert pra_closure(s, n) is shift_and_add_oracle(s) is closed
 
 
 def test_shift_and_add_on_all_primitive_registers_to_degree_10():
     for n in range(1, 11):
         for f in enumerate_irreducible(n, (1 << n) - 1):
-            assert shift_and_add_check(m_sequence(f)), f
+            s = m_sequence(f)
+            assert pra_closure(s, n) is shift_and_add_oracle(s) is True, f
 
 
 # ------------------------------------------------------------- D-morphism
@@ -305,11 +322,14 @@ def test_d_round_trip_random():
 
 def test_d_inverse_bits_is_phase_exact():
     col = (0, 1, 1, 0)
-    out = d_inverse_bits(col, 1)
+    out = d_inverse(CyclicSequence(col), 1).bits
     assert out == (1, 1, 0, 1)
     assert tuple(out[i] ^ out[(i + 1) % 4] for i in range(4)) == col
-    with pytest.raises(ValueError):
-        d_inverse_bits((1, 0, 0), 0)
+    # an odd weight has no preimage of its own length: the preimage is
+    # twice as long, still starting at choice
+    out = d_inverse(CyclicSequence((1, 0, 0)), 0).bits
+    assert out == (0, 1, 1, 1, 0, 0)
+    assert d_morphism(CyclicSequence(out)).bits == (1, 0, 0)
 
 
 def d_inverse_oracle(bits: tuple, choice: int) -> tuple:
@@ -354,13 +374,15 @@ def test_d_round_trip_property(bits, choice, short, copies):
     assert add_seq(s, s) == ZERO_SEQUENCE
 
 
-# ------------------------------------------------------------ weight_parity
+# ------------------------------------------------------------ weight parity
 
 
 def test_weight_parity():
-    assert weight_parity(CyclicSequence("0011")) == "even"
-    assert weight_parity(CyclicSequence("011")) == "even"
-    assert weight_parity(CyclicSequence("0001")) == "odd"
+    # weight counts the ones of one minimal period: its parity is the one
+    # d_inverse branches on
+    assert CyclicSequence("0011").weight % 2 == 0
+    assert CyclicSequence("011011").weight == 2
+    assert CyclicSequence("0001").weight % 2 == 1
 
 
 # -------------------------------------------------------------- de Bruijn
