@@ -35,8 +35,14 @@ closed exactly when it is distinct and P with the zero array is a
 GF(2) space, |P| + 1 = 2^rank(P) (|P| = 2^rank(P) when a 1x1 zero
 array puts zero in P), walked in Gray-code order; a code that fails
 gets the note "positioned arrays span at least S words, more than
-|P| + 1 = N: not closed under shift-and-add". Its coverage reads every
-window of every array and names repeated windows by their anchors.
+|P| + 1 = N: not closed under shift-and-add". Its coverage, like that
+of the kinds without closure, reads every window of every array. When the
+counting identity holds, the windows set flags in a table of 2^(n*m)
+bytes, at most one more than the code has cells, and the code covers
+exactly when every flag ends up set (a shortened code's zero flag is
+set in advance). Only a code that leaves a flag unset gets a second
+pass, a dict of every window key, which names the repeated windows by
+their anchors. A code whose count fails gets no table, only that pass.
 min_distance is exact at any size for a closed PRA/PRAC, where it is
 the minimum array weight; every other code is scanned pairwise, up to
 1024 distinct words.
@@ -429,6 +435,59 @@ def _anchor_text(anchor: int, r: int, t: int) -> str:
     return f"array {idx} anchor ({i},{j})"
 
 
+def _windows(code: ArrayCode):
+    """Every window key of the code, array by array, in anchor order."""
+    n, m = code.n, code.m
+    return chain.from_iterable(_window_keys(a, n, m) for a in code.arrays)
+
+
+def _flags_cover(code: ArrayCode, space: int, full: bool) -> bool:
+    """True when the windows of the code set every flag of a table of
+    2^(n*m) flags, one byte each, with a shortened code's zero window
+    flagged in advance. For a code with one window per flag left unset,
+    that holds exactly when no window repeats and (in a shortened code)
+    none is zero. The table is at most one byte larger than the code
+    has cells."""
+    flags = bytearray(space)
+    flags[0] = not full
+    for key in _windows(code):
+        flags[key] = 1
+    return 0 not in flags
+
+
+def _walk_cover(code: ArrayCode, want: int, full: bool):
+    """(covered, notes) from a dict of every window key. The notes are
+    the first five repeated windows with both anchors, a zero window in
+    a shortened code, and the number of distinct windows if it is not
+    want."""
+    r, t, nm = code.r, code.t, code.n * code.m
+    coverage_ok, notes = True, []
+    # seen maps each key to the running index of its first anchor,
+    # idx*r*t + i*t + j; the anchor text is built only for a note
+    seen = {}
+    first_seen = seen.setdefault
+    dup_reports = 0
+    for anchor, key in enumerate(_windows(code)):
+        first = first_seen(key, anchor)
+        if first != anchor:
+            coverage_ok = False
+            if dup_reports < 5:
+                notes.append(
+                    f"window {key:0{nm}b} at "
+                    f"{_anchor_text(anchor, r, t)} repeats "
+                    f"{_anchor_text(first, r, t)}"
+                )
+            dup_reports += 1
+    if not full and 0 in seen:
+        coverage_ok = False
+        notes.append("zero window present in a shortened code")
+    have = len(seen) - (1 if (not full and 0 in seen) else 0)
+    if have != want:
+        coverage_ok = False
+        notes.append(f"coverage: {have} distinct windows, need {want}")
+    return coverage_ok, notes
+
+
 def verify(code: ArrayCode) -> VerifyReport:
     """Check the counting identity, dimension conditions, exact window
     coverage, and (for PRA/PRAC) shift-and-add closure."""
@@ -462,32 +521,12 @@ def verify(code: ArrayCode) -> VerifyReport:
         coverage_ok = False
         notes.append("window size out of supported range")
     elif not algebraic:
-        # seen maps each key to the running index of its first anchor,
-        # idx*r*t + i*t + j; the anchor text is built only for a note
-        seen = {}
-        first_seen = seen.setdefault
-        dup_reports = 0
-        keys = chain.from_iterable(
-            _window_keys(a, n, m) for a in code.arrays
-        )
-        for anchor, key in enumerate(keys):
-            first = first_seen(key, anchor)
-            if first != anchor:
-                coverage_ok = False
-                if dup_reports < 5:
-                    notes.append(
-                        f"window {key:0{n * m}b} at "
-                        f"{_anchor_text(anchor, r, t)} repeats "
-                        f"{_anchor_text(first, r, t)}"
-                    )
-                dup_reports += 1
-        if not full and 0 in seen:
-            coverage_ok = False
-            notes.append("zero window present in a shortened code")
-        have = len(seen) - (1 if (not full and 0 in seen) else 0)
-        if have != want:
-            coverage_ok = False
-            notes.append(f"coverage: {have} distinct windows, need {want}")
+        # with the count holding, the windows cover exactly when they
+        # flag every window of the space; the walk runs only to name the
+        # repeats, or when the count fails
+        if not (counting_ok and _flags_cover(code, space, full)):
+            coverage_ok, walk_notes = _walk_cover(code, want, full)
+            notes.extend(walk_notes)
 
     notes.extend(closure_notes)
     if closure_ok:

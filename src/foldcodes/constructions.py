@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, product
+from itertools import accumulate
 from math import gcd
 from operator import xor
 
@@ -199,37 +199,70 @@ def _columns(n: int, m: int, odd: bool) -> int:
     return (1 << m) - odd
 
 
-def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, words):
-    """The DBAC of the distinct arrays among words, each word a sequence
-    of t (cycle, shift, complement) columns: column c of the array is
-    cycle i of pf turned up by j, complemented when the flag is set.
+def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, tail):
+    """The DBAC of the distinct arrays among the words of pf, each word a
+    sequence of t (cycle, shift, complement) columns: column c of the
+    array is cycle i of pf turned up by j, complemented when the flag is
+    set. The words are every head of l plain columns (i_c, j_c) with
+    j_0 = 0, each followed by the t - l columns tail(head).
 
     Columns are packed with cell u at bit u*t, so an array's packed form,
     the integer that is the array, is the OR of its columns shifted into
-    place. Words are consumed one at a time and collapsed to their
-    canonical 2D rotation; enumerated words are never plain vertical
-    shifts of one another (the first column is pinned at its zero
-    state), so these classes coincide with equality up to arbitrary 2D
-    rotation.
+    place. Each distinct column mask gets an id, and plain (i, j) gets
+    i*r + j. The cycles of a valid factor have full period r and are not
+    rotations of one another, so the plain masks differ. A 2D rotation
+    of an array is then a word only through the one vertical turn that
+    makes its first column plain at j = 0, and its first l columns read
+    back as one head. tail must keep every such rotation a word: the
+    sums of pmc-odd do not change under rotation, and column c + l of
+    pmc-sd complements column c for every c. So each class of words is
+    visited once, from its first unmarked head. Only that word is built
+    and collapsed to its canonical 2D rotation, and the heads of its
+    rotations are marked, by small-int work on the ids, one byte per
+    head. The dedup of the kept arrays by packed value keeps the result
+    exact.
     """
     n, r = pf.order, 1 << pf.subdegree
+    plain = 1 << n  # the ids of plain columns, i*r + j
     full = (1 << (r * t)) - 1
     ones = full // ((1 << t) - 1)  # bit u*t for every row u
-    columns = {}
+    turned = {}
     for i, cycle in enumerate(pf.cycles):
         # bit u of the cycle moves to bit u*t, t - 1 zero digits apart
         base = int(("0" * (t - 1)).join(format(cycle.packed(), f"0{r}b")), 2)
         for j in range(r):
-            col = ((base >> (j * t)) | (base << ((r - j) * t))) & full
-            columns[i, j, 0] = col
-            columns[i, j, 1] = col ^ ones
+            turned[i, j] = ((base >> (j * t)) | (base << ((r - j) * t))) & full
+    id_of, ids = {}, {}
+    for bar in (0, 1):
+        for (i, j), col in turned.items():
+            ids[i, j, bar] = id_of.setdefault(col ^ bar * ones, len(id_of))
+    masks = list(id_of)
+    # a head's index holds i_0, then the n-bit ids i_c*r + j_c, 0 < c < l
+    marked = bytearray(1 << (n * ell - pf.subdegree))
     classes = {}
-    for word in words:
+    index = 0
+    while index >= 0:
+        word = [index >> (n * (ell - 1)) << pf.subdegree] + [
+            index >> (n * c) & (plain - 1) for c in range(ell - 2, -1, -1)
+        ]
+        word += [ids[key] for key in tail([divmod(x, r) for x in word])]
         packed = 0
-        for c, key in enumerate(word):
-            packed |= columns[key] << c
+        for c, x in enumerate(word):
+            packed |= masks[x] << c
         a = canonical2d(CyclicArray._wrap(packed, r, t))
         classes.setdefault(a.packed(), a)
+        twice = word + word
+        for dh in range(1, t):
+            if twice[dh] >= plain:
+                continue
+            key, j0 = divmod(twice[dh], r)
+            for x in twice[dh + 1 : dh + ell]:
+                if x >= plain:
+                    break
+                key = key << n | x & -r | (x - j0) % r
+            else:
+                marked[key] = 1
+        index = marked.find(0, index + 1)
     arrays = tuple(classes[key] for key in sorted(classes))
 
     notes = []
@@ -280,15 +313,12 @@ def construct_pmc_odd(pf: PerfectFactor, m: int) -> ConstructionReport:
     r = 1 << k
     q = 1 << (n - k)
 
-    def words():
+    def tail(head):
         # sum i_r = 1 over 1-based indices is sum i_r = -l over 0-based
-        for i_free in product(range(q), repeat=ell):
-            i_all = i_free + ((-ell - sum(i_free)) % q,)
-            for j_free in product(range(r), repeat=ell - 1):
-                j_all = (0,) + j_free + ((-sum(j_free)) % r,)
-                yield [(i, j, 0) for i, j in zip(i_all, j_all)]
+        i_last = (-ell - sum(i for i, _ in head)) % q
+        return [(i_last, -sum(j for _, j in head) % r, 0)]
 
-    return _compose(pf, ell, ell + 1, size_exp, words())
+    return _compose(pf, ell, ell + 1, size_exp, tail)
 
 
 def construct_pmc_sd(pf: PerfectFactor, m: int) -> ConstructionReport:
@@ -307,18 +337,11 @@ def construct_pmc_sd(pf: PerfectFactor, m: int) -> ConstructionReport:
             f"degenerate parameters: claimed size 2^{size_exp} "
             "is not an integer"
         )
-    r = 1 << k
-    q = 1 << (n - k)
 
-    def words():
-        for i_all in product(range(q), repeat=ell):
-            for j_free in product(range(r), repeat=ell - 1):
-                head = list(zip(i_all, (0,) + j_free))
-                yield [(i, j, 0) for i, j in head] + [
-                    (i, j, 1) for i, j in head
-                ]
+    def tail(head):
+        return [(i, j, 1) for i, j in head]
 
-    return _compose(pf, ell, 2 * ell, size_exp, words())
+    return _compose(pf, ell, 2 * ell, size_exp, tail)
 
 
 # ---------------------------------------------------------------------

@@ -10,11 +10,12 @@ Gray walk, window dict) is the oracle of its ideal verdict.
 
 import random
 import tracemalloc
+from dataclasses import replace
 from itertools import chain, repeat
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import foldcodes.arraycode as arraycode
@@ -34,9 +35,11 @@ from foldcodes.arraycode import (
 )
 from foldcodes.constructions import (
     PreconditionError,
+    construct_pmc_sd,
     construct_prac_fold,
     experiment_exponent_family,
     experiment_product_fold,
+    perfect_factor,
 )
 from foldcodes.folding import fold
 from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible
@@ -101,6 +104,46 @@ def closure_oracle(code):
             if s.packed() == 0 or canonical2d(s) not in canon:
                 return False
     return True
+
+
+def coverage_oracle(code):
+    """The dict walk of window coverage: (coverage_ok, notes), keeping
+    every window key with its first anchor. The notes are the first five
+    repeated windows with both anchors, a zero window in a shortened
+    code, and the number of distinct windows when it is not the number
+    the kind needs."""
+    r, t, n, m = code.r, code.t, code.n, code.m
+    full = code.kind in ("PM", "DBAC")
+    want = (1 << (n * m)) - (not full)
+    first, notes, repeats = {}, [], 0
+    for idx, a in enumerate(code.arrays):
+        for i in range(r):
+            for j in range(t):
+                key = window_key_oracle(a, i, j, n, m)
+                here = f"array {idx} anchor ({i},{j})"
+                if key not in first:
+                    first[key] = here
+                    continue
+                if repeats < 5:
+                    notes.append(
+                        f"window {key:0{n * m}b} at {here} repeats {first[key]}"
+                    )
+                repeats += 1
+    zero = not full and 0 in first
+    if zero:
+        notes.append("zero window present in a shortened code")
+    have = len(first) - zero
+    if have != want:
+        notes.append(f"coverage: {have} distinct windows, need {want}")
+    return not (repeats or zero or have != want), notes
+
+
+def _coverage_notes(rep):
+    return [
+        note
+        for note in rep.notes
+        if " repeats " in note or note.startswith(("zero window", "coverage:"))
+    ]
 
 
 def _rotations(a):
@@ -869,3 +912,127 @@ def test_window_beyond_the_cap_is_refused_without_counting(n, m):
     assert not rep.counting_ok and not rep.coverage_ok
     assert rep.notes[0] == f"counting: 1 arrays x 3x5 cells != 2^{n * m} - 1"
     assert "window size out of supported range" in rep.notes
+
+
+# ------------------------------------------- coverage against the dict walk
+
+
+def _assert_coverage_matches_oracle(code):
+    rep = verify(code)
+    ok, notes = coverage_oracle(code)
+    assert rep.coverage_ok is ok
+    assert _coverage_notes(rep) == notes
+    return rep
+
+
+# (kind, r, t, n, m, arrays) whose cells number the windows to cover
+_COUNTED_SHAPES = (
+    ("PM", 4, 4, 2, 2, 1),
+    ("DBAC", 4, 4, 1, 5, 2),
+    ("DBAC", 2, 4, 2, 2, 2),
+    ("SPM", 3, 5, 2, 2, 1),
+    ("SDBAC", 1, 7, 1, 3, 1),
+    ("SDBAC", 3, 7, 2, 3, 3),
+)
+# codes that verify: FOLDPR and PRAC37 read as non-linear kinds, so
+# their coverage is never decided by algebra, and pmc-sd of PF(3,2)
+_VERIFIED = (
+    ArrayCode("SPM", 3, 5, 2, 2, (FOLDPR,)),
+    ArrayCode("SDBAC", 3, 7, 2, 3, PRAC37),
+    construct_pmc_sd(perfect_factor(3, 2), 1).produced,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flag_table_coverage_matches_the_dict_walk(data):
+    """Codes whose count holds: random cells, or a verified code with its
+    members turned and up to two cells flipped."""
+    if data.draw(st.booleans()):
+        kind, r, t, n, m, k = data.draw(st.sampled_from(_COUNTED_SHAPES))
+        cells = st.integers(0, (1 << (r * t)) - 1)
+        arrays = [
+            CyclicArray._wrap(data.draw(cells), r, t) for _ in range(k)
+        ]
+    else:
+        code = data.draw(st.sampled_from(_VERIFIED))
+        kind, r, t, n, m = code.kind, code.r, code.t, code.n, code.m
+        turn = st.tuples(st.integers(0, r - 1), st.integers(0, t - 1))
+        arrays = [shift2d(a, *data.draw(turn)) for a in code.arrays]
+        for _ in range(data.draw(st.integers(0, 2))):
+            idx = data.draw(st.integers(0, len(arrays) - 1))
+            bit = data.draw(st.integers(0, r * t - 1))
+            a = arrays[idx]
+            arrays[idx] = CyclicArray._wrap(a.packed() ^ (1 << bit), r, t)
+    rep = _assert_coverage_matches_oracle(ArrayCode(kind, r, t, n, m, arrays))
+    assert rep.counting_ok
+
+
+def test_mutants_of_a_verified_composition_match_the_dict_walk():
+    """One cell flipped (the count holds, so the flag table sees the
+    repeat and the walk names it), one array duplicated and one dropped
+    (the count fails, so only the walk runs)."""
+    code = construct_pmc_sd(perfect_factor(3, 2), 2).produced
+    assert _assert_coverage_matches_oracle(code).ok
+    r, t, arrays = code.r, code.t, list(code.arrays)
+    for idx, bit in ((0, 0), (0, r * t - 1), (57, 13), (127, 31)):
+        flipped = CyclicArray._wrap(arrays[idx].packed() ^ (1 << bit), r, t)
+        mutant = arrays[:idx] + [flipped] + arrays[idx + 1 :]
+        rep = _assert_coverage_matches_oracle(replace(code, arrays=mutant))
+        assert rep.counting_ok and not rep.coverage_ok
+        assert " repeats " in rep.notes[0]
+    for mutant in (arrays + arrays[5:6], arrays[:5] + arrays[6:]):
+        rep = _assert_coverage_matches_oracle(replace(code, arrays=mutant))
+        assert not rep.counting_ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_codes_whose_count_fails_walk_without_a_flag_table(data):
+    """A code whose count fails keeps the dict walk's notes and never
+    allocates the 2^(n*m) flag table, even for n*m = 32."""
+    r, t = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+    kind = data.draw(st.sampled_from(("PM", "DBAC", "SPM", "SDBAC")))
+    cells = st.integers(0, (1 << (r * t)) - 1)
+    k = data.draw(st.integers(1, 4))
+    full = kind in ("PM", "DBAC")
+    assume(k * r * t != (1 << (n * m)) - (not full))
+    arrays = [CyclicArray._wrap(data.draw(cells), r, t) for _ in range(k)]
+    code = ArrayCode(kind, r, t, n, m, arrays)
+
+    def no_table(*args):
+        raise AssertionError("flag table allocated for a failed count")
+
+    with mock.patch.object(arraycode, "_flags_cover", no_table):
+        rep = _assert_coverage_matches_oracle(code)
+    assert not rep.counting_ok
+
+
+def test_the_walk_runs_only_where_the_flag_table_cannot_decide():
+    """A verified code is decided by its flag table alone; a code whose
+    count fails gets no table and is walked."""
+    calls = []
+
+    def recording(name):
+        real = getattr(arraycode, name)
+
+        def wrapper(code, *args):
+            calls.append((name, code.n * code.m))
+            return real(code, *args)
+
+        return wrapper
+
+    with mock.patch.multiple(
+        arraycode,
+        _flags_cover=recording("_flags_cover"),
+        _walk_cover=recording("_walk_cover"),
+    ):
+        for code in _VERIFIED:
+            assert verify(code).ok
+            assert not verify(replace(code, n=4, m=8)).counting_ok
+    assert calls == [
+        ("_flags_cover", 4), ("_walk_cover", 32),
+        ("_flags_cover", 6), ("_walk_cover", 32),
+        ("_flags_cover", 6), ("_walk_cover", 32),
+    ]

@@ -395,6 +395,53 @@ def test_compositions_match_literal_form():
     assert cases == 47
 
 
+def test_heaviest_benchmarked_composition_matches_literal_form_flipped():
+    """pmc-sd of PF(4,3) with m = 2, the largest composition compose-dbac
+    runs, on the complemented and/or reversed factors its seeds pick (the
+    plain factor is checked above)."""
+    base = perfect_factor(4, 3)
+    for complement, reverse in ((0, 1), (1, 0), (1, 1)):
+        pf = _transformed(base, complement, reverse)
+        rep = construct_pmc_sd(pf, 2)
+        assert rep.verified
+        want = _literal_composition(pf, 2, "sd")
+        assert [a.packed() for a in rep.produced.arrays] == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "build, n, k, m, words, kept",
+    [
+        (construct_pmc_odd, 2, 2, 2, 16, 6),
+        (construct_pmc_odd, 3, 2, 2, 128, 32),
+        (construct_pmc_sd, 2, 2, 2, 64, 18),
+        (construct_pmc_sd, 3, 3, 2, 512, 512),
+        (construct_pmc_sd, 4, 3, 2, 8192, 1024),
+    ],
+)
+def test_compose_collapses_one_word_per_kept_array(
+    monkeypatch, build, n, k, m, words, kept
+):
+    """Each class of the q^l * r^(l-1) words is visited once, so
+    canonical2d runs once per kept array, not once per word. PF(3,3) is
+    not closed under complement, so no rotation of its pmc-sd words is
+    another word and every class is one word."""
+    import foldcodes.constructions as cons
+
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return canonical2d(a)
+
+    monkeypatch.setattr(cons, "canonical2d", counting)
+    pf = perfect_factor(n, k)
+    ell = (1 << m) - (build is construct_pmc_odd)
+    assert (1 << (n - k)) ** ell * (1 << k) ** (ell - 1) == words
+    rep = build(pf, m)
+    assert len(rep.produced.arrays) == kept
+    assert len(calls) == kept
+
+
 # ---------------------------------------------------------------------
 # order raising on columns
 # ---------------------------------------------------------------------
