@@ -366,7 +366,7 @@ def cmd_experiment(args):
 
 
 def cmd_poly(args):
-    if args.poly:
+    if args.poly is not None:
         f = _parse_poly(args.poly)
         irr = is_irreducible(f)
         info = {
@@ -378,7 +378,7 @@ def cmd_poly(args):
         if irr and f.mask & 1:
             info["exponent"] = exponent(f)
         return 0, info, _lines(f"{key}: {val}" for key, val in info.items())
-    if args.degree:
+    if args.degree is not None:
         found = enumerate_irreducible(args.degree, args.exponent)
         polys = [str(f) for f in found]
         return 0, {"polynomials": polys}, _lines(polys)

@@ -23,7 +23,7 @@ from .arraycode import (
     shift2d,
     verify,
 )
-from .folding import fold, positions_independent, window_positions
+from .folding import fold
 from .gf2poly import (
     Gf2Poly,
     enumerate_irreducible,
@@ -452,14 +452,32 @@ def _fold_family(
 
 def construct_prac_fold(f: Gf2Poly, n: int, m: int) -> ConstructionReport:
     """Fold all cycles of an irreducible register into (2^n - 1) x l
-    arrays. Verified when the window positions give independent
-    residues."""
+    arrays; the oracle decides whether they form a code.
+
+    The folding theorem says it always does (MacWilliams & Sloane,
+    Proc. IEEE 1976, prove the primitive case). Let f have degree n*m
+    and exponent e = r*l, r = 2^n - 1, gcd(r, l) = 1, and let alpha be a
+    root of f. The CRT idempotents of e give alpha^p = beta^(p mod r) *
+    gamma^(p mod l), with beta of order r and gamma of order l.
+    - beta is primitive in GF(2^n), so 1, beta, ..., beta^(n-1) is a
+      GF(2)-basis of GF(2^n).
+    - GF(2^n)(gamma) contains alpha = beta*gamma, so it is all of
+      GF(2^(n*m)); hence 1, gamma, ..., gamma^(m-1) are independent
+      over GF(2^n).
+    - So the n*m residues beta^u * gamma^v (u < n, v < m) of the window
+      positions are independent over GF(2), the criterion the oracle's
+      rank test reads off the arrays.
+    - n*m = ord_e(2) = lcm(n, ord_l(2)) <= n*(l - 1) when l >= 2, so
+      m < l, and m = l = 1 when l = 1: the window always fits.
+    """
     if not is_irreducible(f):
         raise PreconditionError(f"{f} is reducible")
     if f.degree != n * m:
         raise PreconditionError(
             f"degree {f.degree} does not equal n*m = {n * m}"
         )
+    if n < 1:
+        raise PreconditionError(f"window height n = {n} must be positive")
     e = exponent(f)
     r = (1 << n) - 1
     if e % r:
@@ -471,23 +489,7 @@ def construct_prac_fold(f: Gf2Poly, n: int, m: int) -> ConstructionReport:
         raise PreconditionError(
             f"2^n - 1 = {r} and l = {ell} share a factor"
         )
-    if m > ell:
-        raise PreconditionError(f"window width {m} exceeds {ell} columns")
-    k = ((1 << (n * m)) - 1) // e
-    kind = "PRA" if k == 1 else "PRAC"
-    R = window_positions(r, ell, n, m)
-    if not positions_independent(f, R):
-        return ConstructionReport(
-            parameters=(r, ell, n, m),
-            claimed_size=k,
-            produced=ArrayCode(kind, r, ell, n, m, ()),
-            verified=False,
-            notes=(
-                "window position residues are dependent: f divides a "
-                "nonempty subset sum of the x^p, so coverage fails",
-            ),
-        )
-    return _fold_family(f, r, ell, n, m, claimed=k)
+    return _fold_family(f, r, ell, n, m, claimed=((1 << (n * m)) - 1) // e)
 
 
 def experiment_product_fold(
@@ -508,6 +510,8 @@ def experiment_product_fold(
             f"n*m = {n * m} does not equal the product degree "
             f"{2 * f.degree}"
         )
+    if n < 1:
+        raise PreconditionError(f"window height n = {n} must be positive")
     e = exponent(f)
     if exponent(g) != e:
         raise PreconditionError(
@@ -530,7 +534,7 @@ def experiment_exponent_family(
         raise PreconditionError(f"n*m = {n * m} does not equal {deg}")
     if r * t != e or gcd(r, t) != 1:
         raise PreconditionError(f"need coprime r*t = {e}, got {r}x{t}")
-    return [
-        _fold_family(f, r, t, n, m, notes=(f"poly {f}",))
-        for f in enumerate_irreducible(deg, e)
-    ]
+    polys = enumerate_irreducible(deg, e)  # refuses a degree below 1
+    if n < 1:
+        raise PreconditionError(f"window height n = {n} must be positive")
+    return [_fold_family(f, r, t, n, m, notes=(f"poly {f}",)) for f in polys]

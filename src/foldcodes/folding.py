@@ -2,7 +2,7 @@
 
 A length rt sequence with gcd(r,t) = 1 folds into an r x t array down the
 diagonal: position p lands in cell (p mod r, p mod t), a bijection by the
-Chinese remainder theorem. Position sets use plain frozensets of
+Chinese remainder theorem. A position set is any collection of
 nonnegative integers.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from math import gcd
 
-from .arraycode import CyclicArray, _gather, _window_cells
+from .arraycode import CyclicArray, _gather
 from .gf2poly import Gf2Poly, _independent, is_irreducible, mul, pow_x_mod
 from .lfsr import CyclicSequence, _repeat
 
@@ -67,18 +67,6 @@ def unfold(a: CyclicArray) -> CyclicSequence:
     """The unique sequence folding to a; inverse of fold."""
     _check_coprime(a.rows, a.cols)
     return CyclicSequence._reduced(_gather(a), a.rows * a.cols)
-
-
-def window_positions(r: int, t: int, n: int, m: int) -> frozenset:
-    """Sequence positions landing in the top-left n x m window.
-
-    For each cell (i, j) with i < n, j < m this is the unique p in
-    [0, rt) with p = i mod r and p = j mod t.
-    """
-    _check_coprime(r, t)
-    if not (1 <= n <= r and 1 <= m <= t):
-        raise ValueError(f"{n}x{m} window does not fit in {r}x{t}")
-    return frozenset(_window_cells(r, t, n, m))
 
 
 def positions_independent(f: Gf2Poly, R) -> bool:

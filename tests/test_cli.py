@@ -627,6 +627,38 @@ def test_every_polynomial_flag_is_capped(tmp_path, capsys):
     assert "degree: 32" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["poly", "--degree", "0"], "degree must be between 1 and 24"),
+        (["poly", "--poly", ""], "bad polynomial '': empty polynomial string"),
+    ],
+)
+def test_poly_names_the_real_refusal(capsys, argv, message):
+    assert run(argv) == 2
+    _one_line_error(capsys, message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "prac-fold", "--poly", "x^4+x+1", "--n", "-2",
+          "--m", "-2"], "window height n = -2 must be positive"),
+        (["construct", "prac-fold", "--poly", "x^4+x+1", "--n", "0",
+          "--m", "4"], "degree 4 does not equal n*m = 0"),
+        (["experiment", "exponent-family", "--deg", "4", "--e", "5",
+          "--r", "1", "--t", "5", "--n", "-1", "--m", "-4"],
+         "window height n = -1 must be positive"),
+        (["experiment", "product-fold", "--f", "x^4+x+1", "--g",
+          "x^4+x^3+1", "--r", "3", "--t", "5", "--n", "-2", "--m", "-4"],
+         "window height n = -2 must be positive"),
+    ],
+)
+def test_folds_refuse_a_window_below_one_row(capsys, argv, message):
+    assert run(argv) == 2
+    _one_line_error(capsys, message)
+
+
 def test_fold_above_the_cell_cap_is_refused(capsys):
     argv = ["fold", "--poly", "x+1", "--r", "1000000007", "--t", "1000000009"]
     assert run(argv) == 2

@@ -29,6 +29,7 @@ from foldcodes.constructions import (
     experiment_product_fold,
     perfect_factor,
 )
+from foldcodes.folding import positions_independent
 from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible, exponent
 from foldcodes.lfsr import (
     CyclicSequence,
@@ -36,6 +37,7 @@ from foldcodes.lfsr import (
     debruijn_sequence,
     verify_perfect_factor,
 )
+from test_folding import positions_oracle
 
 SIII_POLY = Gf2Poly.parse("x^6+x^5+x^4+x^2+1")
 
@@ -603,20 +605,9 @@ def test_prac_fold_rejections():
     with pytest.raises(PreconditionError) as exc:
         construct_prac_fold(Gf2Poly.parse("x^6+x+1"), 2, 3)
     assert "share a factor" in str(exc.value)
-
-
-def test_prac_fold_flagged_when_positions_dependent(monkeypatch):
-    """No irreducible through degree 12 actually produces dependent
-    window positions, so the dependent branch is pinned by stubbing the
-    independence test."""
-    import foldcodes.constructions as cons
-
-    monkeypatch.setattr(cons, "positions_independent", lambda f, R: False)
-    rep = cons.construct_prac_fold(SIII_POLY, 2, 3)
-    assert not rep.verified
-    assert rep.produced.arrays == ()
-    assert any("dependent" in note for note in rep.notes)
-    assert rep.claimed_size == 3
+    # n*m equals the degree, so a negative n comes with a negative m
+    with pytest.raises(PreconditionError, match="n = -2 must be positive"):
+        construct_prac_fold(Gf2Poly.parse("x^4+x+1"), -2, -2)
 
 
 def test_prac_fold_all_small_cases_verify():
@@ -635,14 +626,40 @@ def test_prac_fold_all_small_cases_verify():
                 if e % r:
                     continue
                 ell = e // r
-                if gcd(r, ell) != 1 or m > ell:
+                if gcd(r, ell) != 1:
                     continue
+                assert m <= ell, (str(f), n, m)
                 rep = construct_prac_fold(f, n, m)
                 assert rep.verified, (str(f), n, m)
                 k = len(rep.produced.arrays)
                 assert k * r * ell == (1 << deg) - 1
                 checked += 1
     assert checked >= 10
+
+
+def test_prac_fold_window_positions_always_independent():
+    """The folding theorem behind construct_prac_fold: for every
+    irreducible f through degree 12 and every n | deg f with
+    e = (2^n - 1)*l, gcd(2^n - 1, l) = 1, the n x m window positions of
+    the (2^n - 1) x l fold give independent residues, and m <= l."""
+    from math import gcd
+
+    checked = 0
+    for deg in range(1, 13):
+        for f in enumerate_irreducible(deg):
+            if not f.mask & 1:
+                continue
+            e = exponent(f)
+            for n in range(1, deg + 1):
+                r = (1 << n) - 1
+                if deg % n or e % r or gcd(r, e // r) != 1:
+                    continue
+                m, ell = deg // n, e // r
+                assert m <= ell, (str(f), n)
+                R = positions_oracle(r, ell, n, m)
+                assert positions_independent(f, R), (str(f), n)
+                checked += 1
+    assert checked == 2099
 
 
 def test_prac_fold_distance_above_pairwise_cap():
@@ -695,6 +712,8 @@ def test_product_fold_rejections():
         experiment_product_fold(f, g, 3, 7, 2, 4)
     with pytest.raises(PreconditionError):
         experiment_product_fold(f, g, 3, 5, 2, 3)
+    with pytest.raises(PreconditionError, match="n = -2 must be positive"):
+        experiment_product_fold(f, g, 3, 5, -2, -4)
 
 
 def test_exponent_family_85():
@@ -734,6 +753,11 @@ def test_exponent_family_rejections():
         experiment_exponent_family(8, 85, 5, 16, 4, 2)
     with pytest.raises(PreconditionError):
         experiment_exponent_family(8, 45, 3, 15, 4, 2)
+    with pytest.raises(PreconditionError, match="n = -1 must be positive"):
+        experiment_exponent_family(4, 5, 1, 5, -1, -4)
+    # a degree below 1 keeps the degree refusal
+    with pytest.raises(ValueError, match="between 1 and 24"):
+        experiment_exponent_family(0, 5, 1, 5, 0, 4)
 
 
 def test_report_is_plain_data():

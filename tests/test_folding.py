@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldcodes.arraycode import ArrayCode, CyclicArray, shift2d, verify
-from foldcodes.folding import (
-    fold,
-    positions_independent,
-    set_polynomial,
-    unfold,
-    window_positions,
+from foldcodes.arraycode import (
+    ArrayCode,
+    CyclicArray,
+    _window_cells,
+    shift2d,
+    verify,
 )
+from foldcodes.folding import fold, positions_independent, set_polynomial, unfold
 from foldcodes.gf2poly import Gf2Poly, _mod, enumerate_irreducible, mul
 from foldcodes.lfsr import ZERO_SEQUENCE, CyclicSequence, m_sequence, shift
 
@@ -61,9 +61,8 @@ def divides(f, g):
 
 
 def test_folding_map_validation():
-    """fold, unfold and window_positions refuse the same shapes; unfold
-    cannot be handed a 0-row array, so it sees only the coprimality
-    rejections."""
+    """fold and unfold refuse the same shapes; unfold cannot be handed a
+    0-row array, so it sees only the coprimality rejections."""
     seq = CyclicSequence("1")
     for r, t, text in [
         (3, 21, "dimensions 3 and 21 are not coprime"),
@@ -72,8 +71,6 @@ def test_folding_map_validation():
     ]:
         with pytest.raises(ValueError, match=text):
             fold(seq, r, t)
-        with pytest.raises(ValueError, match=text):
-            window_positions(r, t, 1, 1)
         if r:
             with pytest.raises(ValueError, match=text):
                 unfold(CyclicArray(["0" * t] * r))
@@ -236,31 +233,24 @@ def test_shift_start_positions_of_folded_sums():
     assert tail == shift2d(FOLDPR, 0, 4)
 
 
-# ------------------------------------------------------- window_positions
+# ----------------------------------------------------------- window cells
 
 
-def test_window_positions_examples():
-    assert window_positions(3, 5, 2, 2) == frozenset({0, 1, 6, 10})
-    assert window_positions(3, 7, 2, 3) == frozenset({0, 1, 7, 9, 15, 16})
-    assert window_positions(1, 1, 1, 1) == frozenset({0})
+def window_cells(r, t, n, m):
+    return frozenset(_window_cells(r, t, n, m))
 
 
-def test_window_positions_errors():
-    with pytest.raises(ValueError):
-        window_positions(3, 5, 4, 2)
-    with pytest.raises(ValueError):
-        window_positions(3, 5, 2, 6)
-    with pytest.raises(ValueError):
-        window_positions(2, 4, 1, 1)
+def test_window_cells_examples():
+    assert window_cells(3, 5, 2, 2) == frozenset({0, 1, 6, 10})
+    assert window_cells(3, 7, 2, 3) == frozenset({0, 1, 7, 9, 15, 16})
+    assert window_cells(1, 1, 1, 1) == frozenset({0})
 
 
-def test_window_positions_matches_scan():
+def test_window_cells_match_scan():
     for r, t in [(1, 4), (2, 3), (3, 5), (3, 7), (5, 8), (7, 9), (4, 1)]:
         for n in range(1, r + 1):
             for m in range(1, t + 1):
-                assert window_positions(r, t, n, m) == positions_oracle(
-                    r, t, n, m
-                )
+                assert window_cells(r, t, n, m) == positions_oracle(r, t, n, m)
 
 
 # -------------------------------------------------- positions_independent
@@ -281,7 +271,7 @@ def test_positions_independent_errors_and_overfull():
 
 
 def test_positions_independent_translation_invariance():
-    base = window_positions(3, 7, 2, 3)
+    base = window_cells(3, 7, 2, 3)
     for c in range(21):
         moved = {(p + c) % 21 for p in base}
         assert positions_independent(SIII_F, moved) is True

@@ -1,6 +1,8 @@
 """Tests of the package as a whole: it imports only the standard library,
-and every name it exports exists."""
+every name it exports exists, and every name a module imports is used
+or exported."""
 
+import ast
 import json
 import os
 import subprocess
@@ -48,3 +50,37 @@ def test_package_is_stdlib_only_and_exports_exist():
     )
     assert probe["foreign"] == []
     assert probe["missing"] == []
+
+
+def _stale_imports(source: str) -> list:
+    """Names a module imports but neither uses nor lists in __all__."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [
+                alias.asname or alias.name.partition(".")[0]
+                for alias in node.names
+            ]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(set(imported) - used)
+
+
+def test_every_import_is_used_or_exported():
+    package = os.path.join(SRC, "foldcodes")
+    stale = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                unused = _stale_imports(fh.read())
+            if unused:
+                stale[name] = unused
+    assert stale == {}
