@@ -41,17 +41,30 @@ counting identity holds, the windows set flags in a table of 2^(n*m)
 bytes, at most one more than the code has cells, and the code covers
 exactly when every flag ends up set (a shortened code's zero flag is
 set in advance). Only a code that leaves a flag unset gets a second
-pass, a dict of every window key, which names the repeated windows by
-their anchors. A code whose count fails gets no table, only that pass.
+pass, which names the first five repeated windows by their anchors from
+a dict of first anchors and then counts the rest of the keys in a set.
+A code whose count fails gets no table, only that pass.
 min_distance is exact at any size for a closed PRA/PRAC, where it is
 the minimum array weight; every other code is scanned pairwise, up to
 1024 distinct words.
+
+Every window key, of codes and of lfsr's sequences alike, comes from
+_window_keys, which builds the keys of many arrays at once. The cells
+of a batch, read from their binary digits, become one integer with a
+cell in every slot of 1, 2, 4 or 8 bytes, as wide as a key. Shifts of
+the whole integer turn every row at once (with masks of repeated bytes
+for the cells that wrap) and move it by whole rows, about 2*log2(n*m)
+times, and one to_bytes reads the keys back into an array. A batch
+holds whole arrays up to _BATCH_CELLS key cells, the one cap, set at
+the top of this module; a larger array is cut into bands of rows.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import gcd
 
 from .gf2poly import _divmod, _gcd, _independent, _pow, _prime_factors
@@ -61,6 +74,9 @@ _FULL_KINDS = frozenset(("PM", "DBAC"))
 _LINEAR_KINDS = frozenset(("PRA", "PRAC"))
 _DIGITS = frozenset("01")
 _MAX_WINDOW = 32  # largest n*m whose windows verify enumerates
+_BATCH_CELLS = 1 << 14  # most key cells that _window_keys builds at once
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
 class CyclicArray:
@@ -398,35 +414,134 @@ def _literal_closure(code: ArrayCode):
     return True, ()
 
 
-def _window_keys(a: CyclicArray, n: int, m: int):
-    """The key of the n x m window at every anchor (i, j), row-major: the
-    window's cells packed row-major, the first cell most significant.
+def _window_keys(values, r: int, t: int, n: int, m: int):
+    """Yield the key of the n x m window at every anchor of the r x t
+    arrays whose packed forms are values, one `array` per batch (a list
+    for keys wider than 64 cells): arrays in order, anchors row-major,
+    the window's cells row-major with the first most significant.
 
-    An m-bit key rolls along each row, one shift and one mask per cell,
-    and gives the row's slice at every column. The n*m-bit key of each
-    column then rolls down the rows, one slice in at the bottom and one
-    out at the top. A sequence's n-windows are its 1 x n windows.
+    Whole arrays share a batch up to _BATCH_CELLS key cells; a larger
+    array gives a batch per band of rows, and a longer row one per
+    segment, widened by the m - 1 cells after it. Each unit of a batch
+    carries the n - 1 rows after it, taken cyclically.
     """
-    r, t = a.rows, a.cols
-    low = (1 << m) - 1
-    slices = []
-    for row in a.row_strings():
-        key, keys = 0, []
-        for cell in (row * (m // t + 2))[: t + m - 1]:
-            key = ((key << 1) & low) | (cell == "1")
-            keys.append(key)
-        slices.append(keys[m - 1 :])
-    full = (1 << (n * m)) - 1
-    keys = slices[0]
-    for u in range(1, n):
-        keys = [(k << m) | s for k, s in zip(keys, slices[u % r])]
-    for i in range(r):
-        yield from keys
-        if i + 1 < r:
-            keys = [
-                ((k << m) & full) | s
-                for k, s in zip(keys, slices[(i + n) % r])
-            ]
+    cells, masks = r * t, {}
+    spec = f"0{cells}b"
+    if cells <= _BATCH_CELLS:
+        high = (r + n - 1) * t
+        values = iter(values)
+        while chunk := list(islice(values, _BATCH_CELLS // cells)):
+            texts = [_cyclic_digits(format(v, spec), 0, high) for v in chunk]
+            yield _batch_keys(texts, t, cells, n, m, masks)
+        return
+    band = max(1, _BATCH_CELLS // t)
+    seg = min(t, _BATCH_CELLS)
+    pad = 0 if seg == t else m - 1
+    for value in values:
+        digits = format(value, spec)
+        for i in range(0, r, band):
+            b = min(band, r - i)
+            for j in range(0, t, seg):
+                c = min(seg, t - j)
+                text = _unit_digits(digits, r, t, i, b + n - 1, j, c + pad)
+                yield _batch_keys([text], c + pad, b * c, n, m, masks)
+
+
+def _cyclic_digits(digits: str, lo: int, hi: int) -> str:
+    """Cells lo to hi - 1, read cyclically, of the sequence of binary
+    digits `digits`; both highest cell first."""
+    size = len(digits)
+    reps = -(-hi // size)
+    end = size * reps
+    return (digits * reps)[end - hi : end - lo]
+
+
+def _unit_digits(
+    digits: str, r: int, t: int, i: int, h: int, j: int, w: int
+) -> str:
+    """The digits, highest cell first, of the h x w block of the r x t
+    array with digits `digits` whose cell (0, 0) is (i, j), cyclically."""
+    if j == 0 and w == t:
+        return _cyclic_digits(digits, i * t, (i + h) * t)
+    starts = [(r - 1 - q % r) * t for q in range(i + h - 1, i - 1, -1)]
+    rows = [digits[k : k + t] for k in starts]
+    return "".join([_cyclic_digits(row, j, j + w) for row in rows])
+
+
+def _batch_keys(texts, w: int, count: int, n: int, m: int, masks: dict):
+    """The keys of one batch of _window_keys. texts are the digits of
+    its units, highest cell first, on rows of w cells, each giving the
+    keys of its first count cells; unpadded rows (count a multiple of w)
+    wrap around. masks keeps the turn masks for the batches of a call.
+    A cell gets a slot of `size` bytes, the fewest of 1, 2, 4 or 8 that
+    hold a key (more only for a key wider than 64 cells).
+    """
+    nm = n * m
+    size = next((s for s in (1, 2, 4, 8) if 8 * s >= nm), -(-nm // 8))
+    text = "".join(reversed(texts))
+    cells, bits = len(text), 8 * size
+    spread = bytearray(cells * size)
+    spread[size - 1 :: size] = text.encode().translate(_BIT_BYTES)
+    x = int.from_bytes(spread, "big")
+    wraps = count % w == 0
+
+    def turn(z: int, k: int) -> int:
+        """z with every row turned left by k cells."""
+        k = k % w if wraps else k
+        if not (wraps and k):
+            return z >> k * bits
+        kept, wrapped = _turn_masks(masks, cells, w, k, size)
+        return ((z >> k * bits) & kept) | ((z << (w - k) * bits) & wrapped)
+
+    keys = _stack(x, m, 1, turn)
+    keys = _stack(keys, n, m, lambda z, k: z >> k * w * bits)
+    raw = memoryview(keys.to_bytes(cells * size, "little"))
+    step, used = len(texts[0]) * size, count * size
+    chunks = [raw[k : k + used] for k in range(0, len(raw), step)]
+    code = _TYPECODES.get(size)
+    if code is None:
+        return [
+            int.from_bytes(chunk[k : k + size], "little")
+            for chunk in chunks
+            for k in range(0, used, size)
+        ]
+    out = array(code)
+    for chunk in chunks:
+        out.frombytes(chunk)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _stack(z: int, count: int, width: int, turn) -> int:
+    """The key of count consecutive parts at every slot, the first most
+    significant: z holds one part of width bits per slot, and turn(z, k)
+    brings to each slot the part k after it. The key of h parts doubles
+    to 2h, or grows by one, per step, so it takes about 2*log2(count)
+    turns."""
+    key, have = z, 1
+    for bit in f"{count:b}"[1:]:
+        key = (key << have * width) | turn(key, have)
+        have *= 2
+        if bit == "1":
+            key = (key << width) | turn(z, have)
+            have += 1
+    return key
+
+
+def _turn_masks(masks: dict, cells: int, w: int, k: int, size: int):
+    """The masks of a turn left by k of every row of w slots: the slots
+    of the first w - k columns, which take the cell k to their right,
+    and those of the others, which take a cell from the row's start.
+    Built by repeating bytes, and kept while they cover the batch."""
+    have = masks.get((w, k))
+    if have is None or have[0] < cells:
+        one, zero = b"\xff" * size, bytes(size)
+        rows = cells // w
+        kept = int.from_bytes((one * (w - k) + zero * k) * rows, "little")
+        wrapped = int.from_bytes((zero * (w - k) + one * k) * rows, "little")
+        have = masks[w, k] = (cells, kept, wrapped)
+    return have[1], have[2]
 
 
 def _anchor_text(anchor: int, r: int, t: int) -> str:
@@ -437,55 +552,58 @@ def _anchor_text(anchor: int, r: int, t: int) -> str:
 
 def _windows(code: ArrayCode):
     """Every window key of the code, array by array, in anchor order."""
-    n, m = code.n, code.m
-    return chain.from_iterable(_window_keys(a, n, m) for a in code.arrays)
+    values = (a._value for a in code.arrays)
+    batches = _window_keys(values, code.r, code.t, code.n, code.m)
+    return chain.from_iterable(batches)
 
 
-def _flags_cover(code: ArrayCode, space: int, full: bool) -> bool:
-    """True when the windows of the code set every flag of a table of
-    2^(n*m) flags, one byte each, with a shortened code's zero window
-    flagged in advance. For a code with one window per flag left unset,
-    that holds exactly when no window repeats and (in a shortened code)
-    none is zero. The table is at most one byte larger than the code
-    has cells."""
+def _flags_cover(keys, space: int, full: bool) -> bool:
+    """True when the window keys set every flag of a table of space
+    flags, one byte each, with a shortened code's zero window flagged in
+    advance. When there is one key per flag left unset, that holds
+    exactly when no key repeats and (in a shortened code) none is zero;
+    the table is then at most one byte larger than the keys' count."""
     flags = bytearray(space)
     flags[0] = not full
-    for key in _windows(code):
+    for key in keys:
         flags[key] = 1
     return 0 not in flags
 
 
 def _walk_cover(code: ArrayCode, want: int, full: bool):
-    """(covered, notes) from a dict of every window key. The notes are
+    """(covered, notes) from a walk of every window key. The notes are
     the first five repeated windows with both anchors, a zero window in
     a shortened code, and the number of distinct windows if it is not
     want."""
     r, t, nm = code.r, code.t, code.n * code.m
-    coverage_ok, notes = True, []
+    notes = []
     # seen maps each key to the running index of its first anchor,
-    # idx*r*t + i*t + j; the anchor text is built only for a note
+    # idx*r*t + i*t + j, until the fifth repeat is named; the anchor
+    # text is built only for a note
+    keys = _windows(code)
     seen = {}
     first_seen = seen.setdefault
-    dup_reports = 0
-    for anchor, key in enumerate(_windows(code)):
+    repeats = 0
+    for anchor, key in enumerate(keys):
         first = first_seen(key, anchor)
         if first != anchor:
-            coverage_ok = False
-            if dup_reports < 5:
-                notes.append(
-                    f"window {key:0{nm}b} at "
-                    f"{_anchor_text(anchor, r, t)} repeats "
-                    f"{_anchor_text(first, r, t)}"
-                )
-            dup_reports += 1
-    if not full and 0 in seen:
-        coverage_ok = False
+            notes.append(
+                f"window {key:0{nm}b} at "
+                f"{_anchor_text(anchor, r, t)} repeats "
+                f"{_anchor_text(first, r, t)}"
+            )
+            repeats += 1
+            if repeats == 5:  # the keys after the fifth repeat only count
+                seen = set(seen)
+                seen.update(keys)
+                break
+    zero = not full and 0 in seen
+    if zero:
         notes.append("zero window present in a shortened code")
-    have = len(seen) - (1 if (not full and 0 in seen) else 0)
+    have = len(seen) - zero
     if have != want:
-        coverage_ok = False
         notes.append(f"coverage: {have} distinct windows, need {want}")
-    return coverage_ok, notes
+    return not (repeats or zero or have != want), notes
 
 
 def verify(code: ArrayCode) -> VerifyReport:
@@ -524,7 +642,7 @@ def verify(code: ArrayCode) -> VerifyReport:
         # with the count holding, the windows cover exactly when they
         # flag every window of the space; the walk runs only to name the
         # repeats, or when the count fails
-        if not (counting_ok and _flags_cover(code, space, full)):
+        if not (counting_ok and _flags_cover(_windows(code), space, full)):
             coverage_ok, walk_notes = _walk_cover(code, want, full)
             notes.extend(walk_notes)
 

@@ -10,8 +10,9 @@ and stepping shifts the state left and feeds the tap parity into bit 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
 
-from .arraycode import CyclicArray, _minimal_period, _turn, _window_keys
+from .arraycode import _flags_cover, _minimal_period, _turn, _window_keys
 from .gf2poly import Gf2Poly, _irreducible_order, is_irreducible, is_primitive
 
 __all__ = [
@@ -274,16 +275,19 @@ def m_sequence(f: Gf2Poly) -> CyclicSequence:
 
 def _windows(seqs, n: int):
     """The n-window at every position of every sequence, first bit most
-    significant: the 1 x n windows of each sequence as a 1 x L array."""
-    for s in seqs:
-        yield from _window_keys(CyclicArray._wrap(s.packed(), 1, len(s)), 1, n)
+    significant: the 1 x n windows of each sequence as a 1 x L array,
+    one run of equal lengths at a time."""
+    for length, run in groupby(seqs, len):
+        values = (s.packed() for s in run)
+        yield from chain.from_iterable(_window_keys(values, 1, length, 1, n))
 
 
 def verify_zero_factor(fam: SequenceFamily) -> bool:
     """True iff the n-windows across members are exactly the nonzero n-tuples."""
     n = fam.order
-    keys = list(_windows(fam.members, n))
-    return 0 not in keys and len(set(keys)) == len(keys) == (1 << n) - 1
+    if sum(map(len, fam.members)) != (1 << n) - 1:
+        return False
+    return _flags_cover(_windows(fam.members, n), 1 << n, full=False)
 
 
 def verify_perfect_factor(pf: PerfectFactor) -> bool:
@@ -293,8 +297,7 @@ def verify_perfect_factor(pf: PerfectFactor) -> bool:
         return False
     if any(len(c) != 1 << k for c in pf.cycles):
         return False
-    keys = list(_windows(pf.cycles, n))
-    return len(set(keys)) == len(keys) == 1 << n
+    return _flags_cover(_windows(pf.cycles, n), 1 << n, full=True)
 
 
 def shift(s: CyclicSequence, i: int) -> CyclicSequence:

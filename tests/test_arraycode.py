@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import foldcodes.arraycode as arraycode
@@ -867,6 +867,12 @@ def test_perturbed_folds_match_the_literal_path(data):
     assert _linear_verdict(code)[2] is (irreducible and passing)
 
 
+def window_keys(arrays, r, t, n, m):
+    """Every key _window_keys yields for the arrays, as one list."""
+    values = [a.packed() for a in arrays]
+    return list(chain.from_iterable(_window_keys(values, r, t, n, m)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_window_keys_match_window_key_in_anchor_order(data):
@@ -875,8 +881,58 @@ def test_window_keys_match_window_key_in_anchor_order(data):
     row = st.integers(0, (1 << t) - 1)
     masks = data.draw(st.lists(row, min_size=r, max_size=r))
     a = CyclicArray.from_rowmasks(masks, t)
-    assert list(_window_keys(a, n, m)) == [
+    assert window_keys([a], r, t, n, m) == [
         window_key_oracle(a, i, j, n, m) for i in range(r) for j in range(t)
+    ]
+
+
+# (n, m) with n*m at either side of the 1-, 2-, 4- and 8-byte key slots
+_SLOT_EDGES = (
+    (2, 4), (1, 9), (3, 3), (4, 4), (1, 17), (2, 8), (4, 8), (1, 32),
+    (3, 11), (8, 8), (5, 13), (8, 9),
+)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_window_keys_across_batches_match_the_oracle(monkeypatch, batch, data):
+    """Batches of several arrays, bands of rows and segments of a row give
+    the keys in anchor order, array by array: windows that wrap (n > r,
+    m > t), keys at the edges of the slot widths and wider than 64 cells,
+    and 1 x L and L x 1 shapes."""
+    monkeypatch.setattr(arraycode, "_BATCH_CELLS", batch)
+    shape = data.draw(
+        st.one_of(
+            st.tuples(
+                st.integers(1, 5), st.integers(1, 7),
+                st.integers(1, 8), st.integers(1, 9),
+            ),
+            st.tuples(
+                st.integers(1, 4), st.integers(1, 6),
+            ).flatmap(
+                lambda rt: st.sampled_from(_SLOT_EDGES).map(lambda nm: rt + nm)
+            ),
+            st.integers(1, 40).flatmap(
+                lambda L: st.integers(1, 20).flatmap(
+                    lambda n: st.sampled_from([(1, L, 1, n), (L, 1, n, 1)])
+                )
+            ),
+        )
+    )
+    r, t, n, m = shape
+    cells = st.integers(0, (1 << (r * t)) - 1)
+    k = data.draw(st.integers(1, 4))
+    arrays = [CyclicArray._wrap(data.draw(cells), r, t) for _ in range(k)]
+    assert window_keys(arrays, r, t, n, m) == [
+        window_key_oracle(a, i, j, n, m)
+        for a in arrays
+        for i in range(r)
+        for j in range(t)
     ]
 
 
@@ -1009,25 +1065,62 @@ def test_codes_whose_count_fails_walk_without_a_flag_table(data):
     assert not rep.counting_ok
 
 
+def test_coverage_at_one_key_row_per_batch_matches_the_dict_walk(monkeypatch):
+    """With one row of keys per batch every array is cut into bands, and
+    verify's coverage still reads as the dict walk's: verified codes, a
+    composition with one cell flipped, one array duplicated and one
+    dropped, and random codes whose count holds."""
+    monkeypatch.setattr(arraycode, "_BATCH_CELLS", 1)
+    code = construct_pmc_sd(perfect_factor(3, 2), 2).produced
+    r, t, arrays = code.r, code.t, list(code.arrays)
+    flipped = CyclicArray._wrap(arrays[57].packed() ^ (1 << 13), r, t)
+    codes = list(_VERIFIED) + [
+        code,
+        replace(code, arrays=arrays[:57] + [flipped] + arrays[58:]),
+        replace(code, arrays=arrays + arrays[5:6]),
+        replace(code, arrays=arrays[:5] + arrays[6:]),
+    ]
+    rng = random.Random(23)
+    for kind, r, t, n, m, k in _COUNTED_SHAPES:
+        cells = [rng.getrandbits(r * t) for _ in range(k)]
+        arrays = [CyclicArray._wrap(c, r, t) for c in cells]
+        codes.append(ArrayCode(kind, r, t, n, m, arrays))
+    for code in codes:
+        _assert_coverage_matches_oracle(code)
+
+
+def test_verify_of_a_large_fold_keeps_a_small_peak():
+    """The keys of a million windows are built a batch at a time: the
+    degree-20 m-sequence folded 1025 x 1023 as an SPM with 2 x 10
+    windows verifies within 16 MB of traced memory."""
+    f = Gf2Poly.parse("x^20+x^3+1")
+    folded = fold(m_sequence(f), 1025, 1023)
+    code = ArrayCode("SPM", 1025, 1023, 2, 10, (folded,))
+    tracemalloc.start()
+    try:
+        rep = verify(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 16 << 20
+
+
 def test_the_walk_runs_only_where_the_flag_table_cannot_decide():
     """A verified code is decided by its flag table alone; a code whose
     count fails gets no table and is walked."""
     calls = []
+    real_flags, real_walk = arraycode._flags_cover, arraycode._walk_cover
 
-    def recording(name):
-        real = getattr(arraycode, name)
+    def flags(keys, space, full):
+        calls.append(("_flags_cover", space.bit_length() - 1))
+        return real_flags(keys, space, full)
 
-        def wrapper(code, *args):
-            calls.append((name, code.n * code.m))
-            return real(code, *args)
+    def walk(code, want, full):
+        calls.append(("_walk_cover", code.n * code.m))
+        return real_walk(code, want, full)
 
-        return wrapper
-
-    with mock.patch.multiple(
-        arraycode,
-        _flags_cover=recording("_flags_cover"),
-        _walk_cover=recording("_walk_cover"),
-    ):
+    with mock.patch.multiple(arraycode, _flags_cover=flags, _walk_cover=walk):
         for code in _VERIFIED:
             assert verify(code).ok
             assert not verify(replace(code, n=4, m=8)).counting_ok

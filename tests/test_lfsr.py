@@ -5,13 +5,13 @@ checker for register membership, and exhaustive window counting.
 """
 
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldcodes.arraycode import ArrayCode, CyclicArray, _window_keys, verify
+from foldcodes.arraycode import ArrayCode, _window_keys, verify
 from foldcodes.constructions import (
     NonexistenceError,
     SearchExhausted,
@@ -563,8 +563,8 @@ def test_window_keys_match_literal_windows(data):
         int("".join(str(bits[(p + j) % L]) for j in range(n)), 2)
         for p in range(L)
     ]
-    row = CyclicArray._wrap(seq.packed(), 1, L)
-    assert list(_window_keys(row, 1, n)) == literal
+    batches = _window_keys([seq.packed()], 1, L, 1, n)
+    assert list(chain.from_iterable(batches)) == literal
 
 
 def literal_windows(seqs, n: int) -> list:
@@ -585,6 +585,18 @@ def flipped(seqs, rng) -> tuple:
     bits[rng.randrange(len(bits))] ^= 1
     out[index] = CyclicSequence(bits)
     return tuple(out)
+
+
+def test_zero_factor_refuses_a_wrong_window_count():
+    # every nonzero n-tuple still appears, but a duplicated member or an
+    # added zero cycle brings the count past 2^n - 1
+    for f in ("x^4+x+1", "x^4+x^3+x^2+x+1", "x^6+x^3+1"):
+        fam = generate_cycles(Gf2Poly.parse(f))
+        assert verify_zero_factor(fam)
+        for extra in (fam.members[:1], (ZERO_SEQUENCE,)):
+            members = fam.members + extra
+            n = fam.order
+            assert not verify_zero_factor(SequenceFamily(n, members, None))
 
 
 def test_factor_verifiers_match_literal_window_sets():
