@@ -20,29 +20,31 @@ algebra can say yes. On a coprime r x t torus the fold is the CRT
 isomorphism onto GF(2)[z]/(z^N - 1), N = rt, so the positioned arrays P
 (every 2D rotation of every array) are the cyclic shifts of the k
 sequences the arrays unfold to, and they span the ideal of their gcd g
-with z^N - 1. When k*N = 2^(n*m) - 1, P is closed exactly when it is
-distinct and the ideal has dimension n*m. Distinctness is a test of
-full orbits and of k keys modulo h = (z^N - 1)/g, which decide it
-exactly when h is irreducible. A closed code covers every nonzero
-window exactly when the window cells at anchor (0,0), read on the
-ideal's basis g*z^i, have full rank: the position-independence
-criterion, read off the arrays. See _ideal_verdict.
+with z^N - 1. When k*N = 2^(n*m) - 1 and the ideal has dimension n*m,
+P is closed exactly when its members are distinct and nonzero. The
+window cells at anchor (0,0), read on the ideal's basis g*z^i, must
+have full rank: the position-independence criterion, read off the
+arrays. With it, the members are distinct and nonzero exactly when the
+code's windows are: for one array when its sequence has full period,
+for several when the windows set every flag of the table below. So
+every verified code on a coprime torus, the product folds included, is
+decided there, with no literal path. See _ideal_verdict.
 
-Every other code takes the literal path, whose notes the reports keep:
-one that fails a step, a product fold whose keys agree across orbits,
-or a shape that is not coprime. Its closure is decided by rank: P is
-closed exactly when it is distinct and P with the zero array is a
-GF(2) space, |P| + 1 = 2^rank(P) (|P| = 2^rank(P) when a 1x1 zero
-array puts zero in P), walked in Gray-code order; a code that fails
-gets the note "positioned arrays span at least S words, more than
-|P| + 1 = N: not closed under shift-and-add". Its coverage, like that
-of the kinds without closure, reads every window of every array. When the
-counting identity holds, the windows set flags in a table of 2^(n*m)
-bytes, at most one more than the code has cells, and the code covers
-exactly when every flag ends up set (a shortened code's zero flag is
-set in advance). Only a code that leaves a flag unset gets a second
-pass, which names the first five repeated windows by their anchors from
-a dict of first anchors and then counts the rest of the keys in a set.
+The literal path serves only the codes the algebra does not verify, one
+that fails a step or a shape that is not coprime, and its notes are the
+ones the reports keep. Its closure is decided by rank: P is closed
+exactly when it is distinct and P with the zero array is a GF(2) space,
+|P| + 1 = 2^rank(P) (|P| = 2^rank(P) when a 1x1 zero array puts zero
+in P), walked in Gray-code order; a code that fails gets the note
+"positioned arrays span at least S words, more than |P| + 1 = N: not
+closed under shift-and-add". Its coverage, like that of the kinds
+without closure, reads every window of every array. When the counting
+identity holds, the windows set flags in a table of 2^(n*m) bytes, at
+most one more than the code has cells, and the code covers exactly
+when every flag ends up set (a shortened code's zero flag is set in
+advance). Only a code that leaves a flag unset gets a second pass,
+which names the first five repeated windows by their anchors from a
+dict of first anchors and then counts the rest of the keys in a set.
 A code whose count fails gets no table, only that pass.
 min_distance is exact at any size for a closed PRA/PRAC, where it is
 the minimum array weight; every other code is scanned pairwise, up to
@@ -64,10 +66,11 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations, islice
 from math import gcd
 
-from .gf2poly import _divmod, _gcd, _independent, _pow, _prime_factors
+from .gf2poly import _gcd, _independent, _prime_factors
 
 KINDS = ("PM", "SPM", "PRA", "DBAC", "SDBAC", "PRAC")
 _FULL_KINDS = frozenset(("PM", "DBAC"))
@@ -321,21 +324,23 @@ def _ideal_verdict(code: ArrayCode) -> bool:
     shifts of the gathered sequences s_1, ..., s_k, and their span is the
     ideal of g = gcd(z^N - 1, s_1, ..., s_k), of dimension d = N - deg g.
     The algebra is tried only when the counting identity k*N = 2^(n*m) - 1
-    holds, so P is closed exactly when it is distinct and d = n*m.
+    holds and d = n*m, so P, of k*N members of the ideal, is closed
+    exactly when they are distinct and nonzero: P is then the whole
+    nonzero ideal.
 
-    * P is distinct when every s_i has N shifts (none is fixed by the
-      shift by N/p, p a prime dividing N) and the orbits are disjoint.
-      Modulo h = (z^N - 1)/g a shift is a product with z, and z^N = 1,
-      so s_i and s_j share an orbit only if (s_i mod h)^N and
-      (s_j mod h)^N agree; with s_i = g*q_i and g a unit modulo h (N is
-      odd), only if the keys q_i^N mod h agree. When h is irreducible
-      the ideal is the field GF(2)[z]/(h) and z has order N there, so
-      the converse holds too: every folded code of an irreducible
-      register passes. For a reducible h (the product folds) the keys
-      can agree across orbits, and the code falls back.
-    * A closed code covers every nonzero window exactly when the window
-      at anchor (0,0) is a bijection of the ideal onto the n*m-bit
-      words: its cells, read on the basis g*z^i, i < d, have rank d.
+    * The window at anchor (0,0) is linear on the ideal, and a bijection
+      of it onto the n*m-bit words exactly when its cells, read on the
+      basis g*z^i, i < d, have rank d. A closed code covers every
+      nonzero window exactly then.
+    * With that rank, the members of P are distinct and nonzero exactly
+      when their windows at anchor (0,0) are, and those are the code's
+      windows at every anchor. For one array (k = 1) they are exactly
+      when s_1 has N shifts, none fixed by the shift by N/p, p a prime
+      dividing N (s_1 is nonzero, as deg g < N); for several, the flag
+      table of _flags_cover decides it.
+
+    Every closed code that covers, on a coprime torus with the counting
+    identity, passes, the folds of products of irreducibles included.
     """
     r, t, n, m = code.r, code.t, code.n, code.m
     size, k, d = r * t, len(code.arrays), n * m
@@ -344,17 +349,8 @@ def _ideal_verdict(code: ArrayCode) -> bool:
     if k * size != (1 << d) - 1 or gcd(r, t) != 1:
         return False
     seqs = [_gather(a) for a in code.arrays]
-    modulus = (1 << size) | 1
-    g = _gcd(modulus, seqs[0])
+    g = reduce(_gcd, seqs, (1 << size) | 1)
     if g.bit_length() - 1 != size - d:
-        return False
-    quotients = []
-    for s in seqs:
-        q, rest = _divmod(s, g)
-        if rest:  # s lies outside the ideal of s_1: d is larger
-            return False
-        quotients.append(q)
-    if any(_minimal_period(s, size) != size for s in seqs):
         return False
     # row (u, v) holds cell (u, v) of each basis word g*z^i, whose
     # sequence position p has bit p - i of g; d bits of g shifted by
@@ -364,9 +360,8 @@ def _ideal_verdict(code: ArrayCode) -> bool:
     if not _independent(rows):
         return False
     if k == 1:
-        return True
-    h = _divmod(modulus, g)[0]
-    return len({_pow(q, size, h) for q in quotients}) == k
+        return _minimal_period(seqs[0], size) == size
+    return _flags_cover(_windows(code), 1 << d, full=False)
 
 
 def _literal_closure(code: ArrayCode):

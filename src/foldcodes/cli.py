@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import stat
@@ -109,7 +110,8 @@ def _load_document(path: str) -> dict:
                 doc = json.load(fh)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError is a document nested too deep to decode
         raise _CliError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):
         raise _CliError("malformed document: expected a JSON object")
@@ -396,7 +398,10 @@ def _common(sub, cmd) -> None:
     sub.add_argument("--out", default=None, metavar="FILE")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args keeps
+    no state in it between runs."""
     parser = argparse.ArgumentParser(
         prog="foldcodes",
         description="shift register sequences, folded arrays, and "

@@ -152,43 +152,6 @@ def _pow_x(e: int, m: int) -> int:
     return r
 
 
-def _mulmod(a: int, b: int, m: int) -> int:
-    # a*b modulo m for residues a, b of m, by Horner's rule over the bits
-    # of b: shift, reduce at most once, add a for a set bit.
-    top = 1 << (m.bit_length() - 1)
-    r = 0
-    for bit in bin(b)[2:]:
-        r <<= 1
-        if r & top:
-            r ^= m
-        if bit == "1":
-            r ^= a
-    return r
-
-
-def _pow(a: int, e: int, m: int) -> int:
-    # a^e modulo m for a residue a of m and e >= 1, by square and
-    # multiply from the second highest bit of e.
-    r = a
-    for bit in bin(e)[3:]:
-        r = _sqmod(r, m)
-        if bit == "1":
-            r = _mulmod(r, a, m)
-    return r
-
-
-def _divmod(a: int, m: int):
-    # Quotient and remainder of mask a by mask m (m nonzero).
-    dm = m.bit_length()
-    q = 0
-    da = a.bit_length()
-    while da >= dm:
-        q |= 1 << (da - dm)
-        a ^= m << (da - dm)
-        da = a.bit_length()
-    return q, a
-
-
 def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, _mod(a, b)

@@ -11,7 +11,8 @@ Gray walk, window dict) is the oracle of its ideal verdict.
 import random
 import tracemalloc
 from dataclasses import replace
-from itertools import chain, repeat
+from itertools import chain, combinations
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -42,7 +43,7 @@ from foldcodes.constructions import (
     perfect_factor,
 )
 from foldcodes.folding import fold
-from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible
+from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible, exponent
 from foldcodes.lfsr import generate_cycles, m_sequence
 
 FOLDPR = CyclicArray(["01010", "10001", "11011"])
@@ -778,7 +779,7 @@ def _ideal_cases():
             _perturb(PRAC37_CODE, "flip", 1, 1, 2),
             False,
         ),
-        # two members share an orbit: the keys q_i^N collide
+        # two members share an orbit: their windows repeat
         ("PRAC37 twinned", _perturb(PRAC37_CODE, "twin", 0, 1, 3), False),
         # period 5 in 15 cells: the shift by 5 fixes it, though the
         # (1,4) windows have full rank
@@ -793,13 +794,23 @@ def _ideal_cases():
             experiment_exponent_family(6, 63, 7, 9, 2, 3)[0].produced,
             False,
         ),
-        # a verified product fold: h is reducible and the keys collide
+        # a closed product fold whose (2,3) windows on one row have rank
+        # below 6
         (
             "cubic product on 1x7",
             experiment_product_fold(
                 P("x^3+x+1"), P("x^3+x^2+1"), 1, 7, 2, 3
             ).produced,
             False,
+        ),
+        # a verified product fold: nine orbits, told apart by the flag
+        # table
+        (
+            "cubic product on 1x7 with (1,6) windows",
+            experiment_product_fold(
+                P("x^3+x+1"), P("x^3+x^2+1"), 1, 7, 1, 6
+            ).produced,
+            True,
         ),
     ]
 
@@ -825,31 +836,46 @@ def test_ideal_verdict_matches_the_literal_oracles(code, holds):
         )
 
 
-def test_folds_to_degree_10_take_the_ideal_path():
-    # every prac fold takes the ideal path; the product folds, whose h
-    # is reducible, fall back and still get the literal report
-    assert len(PRAC_FOLDS) > 600
-    for code, irreducible in chain(
-        zip(PRAC_FOLDS, repeat(True)), zip(PRODUCT_FOLDS, repeat(False))
+def test_a_member_outside_the_first_ideal_fails_the_degree_test():
+    # g is the gcd over every member, so a second member outside the
+    # ideal of the first lowers deg g; the flag table never runs
+    code = _perturb(PRAC37_CODE, "flip", 1, 1, 2)
+    with mock.patch.object(
+        arraycode, "_flags_cover", side_effect=AssertionError
     ):
+        assert _ideal_verdict(code) is False
+
+
+def assert_ideal_path_iff_verified(code, rep):
+    """The ideal verdict settles exactly the codes on a coprime torus
+    that verify; every other code takes the literal path."""
+    coprime = gcd(code.r, code.t) == 1
+    passing = rep.counting_ok and rep.closure_ok and rep.coverage_ok
+    assert _linear_verdict(code)[2] is (coprime and passing)
+
+
+def test_folds_to_degree_10_take_the_ideal_path():
+    # every prac fold and every verified product fold takes the ideal
+    # path, and gets the literal report
+    assert len(PRAC_FOLDS) > 600
+    verified = 0
+    for code in chain(PRAC_FOLDS, PRODUCT_FOLDS):
         fresh = ArrayCode(
             code.kind, code.r, code.t, code.n, code.m, code.arrays
         )
         rep = verify(fresh)
-        assert _linear_verdict(fresh)[2] is irreducible
         assert rep == literal_report(code)
-        assert rep.ok or not irreducible
+        assert_ideal_path_iff_verified(fresh, rep)
+        verified += rep.ok
+    # all but the quartics' (4,2) windows on 3 x 5 and 15 x 1 and the
+    # cubics' (2,3) windows on one row
+    assert verified == len(PRAC_FOLDS) + len(PRODUCT_FOLDS) - 3
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_perturbed_folds_match_the_literal_path(data):
-    code, irreducible = data.draw(
-        st.one_of(
-            st.sampled_from([(code, True) for code in PRAC_FOLDS]),
-            st.sampled_from([(code, False) for code in PRODUCT_FOLDS]),
-        )
-    )
+    code = data.draw(st.sampled_from(PRAC_FOLDS + PRODUCT_FOLDS))
     hows = ("flip", "drop", "duplicate", "rotate", "turn", "twin")
     how = data.draw(st.sampled_from(hows))
     k = data.draw(st.integers(0, len(code.arrays) - 1))
@@ -860,11 +886,45 @@ def test_perturbed_folds_match_the_literal_path(data):
         return
     rep = verify(code)
     assert rep == literal_report(code)
-    # the ideal path runs on exactly the perturbed codes of an
-    # irreducible fold that still verify: a rotated member, or a twin
-    # of the only member
-    passing = rep.counting_ok and rep.coverage_ok and rep.closure_ok
-    assert _linear_verdict(code)[2] is (irreducible and passing)
+    # the ideal path runs on exactly the perturbed codes that still
+    # verify: a rotated member, or a twin of the only member
+    assert_ideal_path_iff_verified(code, rep)
+
+
+def _equal_exponent_products(deg):
+    """(f, g, r, t, n, m) for every pair of distinct irreducibles f, g of
+    degree deg and one exponent e, every coprime r x t torus with
+    r*t = e, and every n x m window with n*m = 2*deg."""
+    by_exponent = {}
+    for f in enumerate_irreducible(deg):
+        if f.mask & 1:
+            by_exponent.setdefault(exponent(f), []).append(f)
+    return [
+        (f, g, r, e // r, n, 2 * deg // n)
+        for e, polys in sorted(by_exponent.items())
+        for f, g in combinations(polys, 2)
+        for r in range(1, e + 1)
+        if e % r == 0 and gcd(r, e // r) == 1
+        for n in range(1, 2 * deg + 1)
+        if 2 * deg % n == 0
+    ]
+
+
+def test_equal_exponent_product_folds_match_the_literal_path():
+    cases = [c for deg in (3, 4, 5) for c in _equal_exponent_products(deg)]
+    # degree 6 gives 384 more; a fixed sample of them keeps this short
+    cases += random.Random(16).sample(_equal_exponent_products(6), 40)
+    verified = 0
+    for case in cases:
+        code = experiment_product_fold(*case).produced
+        fresh = ArrayCode(
+            code.kind, code.r, code.t, code.n, code.m, code.arrays
+        )
+        rep = verify(fresh)
+        assert rep == literal_report(code)
+        assert_ideal_path_iff_verified(fresh, rep)
+        verified += rep.ok
+    assert (len(cases), verified) == (144 + 40, 44)
 
 
 def window_keys(arrays, r, t, n, m):

@@ -690,6 +690,48 @@ def test_oversized_input_exits_2_without_a_traceback(argv):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "nested",
+    ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000],
+    ids=["list", "object"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["unfold"], ["construct", "db-direct", "--m", "2"]],
+    ids=["verify", "unfold", "db-direct"],
+)
+def test_deeply_nested_document_is_malformed(tmp_path, capsys, argv, nested):
+    doc = tmp_path / "deep.json"
+    doc.write_text(nested)
+    assert run([*argv, "--input", str(doc)]) == 2
+    _one_line_error(capsys, "malformed document", "recursion")
+
+
+def test_runs_in_one_process_match_fresh_runs(tmp_path, capsys):
+    # the parser is built once per process, so no run may leave a flag
+    # behind for the next: verify without --kind must refuse the raw fold
+    doc = str(tmp_path / "raw.json")
+    fold = ["fold", "--poly", "x^4+x^3+1", "--r", "3", "--t", "5"]
+    assert run([*fold, "--format", "json", "--out", doc]) == 0
+    runs = [
+        ["verify", "--input", doc, "--kind", "PRA", "--n", "2", "--m", "2"],
+        ["verify", "--input", doc],
+        ["verify", "--input", doc, "--kind", "PRA", "--format", "json"],
+        fold,
+        ["poly", "--poly", "x^4+x+1"],
+    ]
+    in_process = []
+    for argv in runs:
+        status = run(argv)
+        in_process.append((status, *capsys.readouterr()))
+    fresh = [
+        (proc.returncode, proc.stdout, proc.stderr)
+        for proc in (_cli(*argv) for argv in runs)
+    ]
+    assert in_process == fresh
+    assert [status for status, _, _ in fresh] == [0, 2, 2, 0, 0]
+
+
 WARNING_LINE = (
     "warning: exponent 7 does not divide 2^4-1; no degree-4 irreducible "
     "polynomial has it\n"

@@ -1,8 +1,8 @@
 """Tests for GF(2) polynomial arithmetic.
 
 The brute-force oracles come first: coefficient-convolution multiply,
-schoolbook remainder, trial-division irreducibility, and a naive order
-scan.  The fast implementations must agree with them exhaustively at
+schoolbook remainder, trial-division gcd and irreducibility, and a naive
+order scan.  The fast implementations must agree with them exhaustively at
 small degrees and on fixed-seed samples above that.
 """
 
@@ -12,9 +12,8 @@ import pytest
 
 from foldcodes.gf2poly import (
     Gf2Poly,
-    _divmod,
-    _mulmod,
-    _pow,
+    _gcd,
+    _mod,
     enumerate_irreducible,
     euler_phi,
     exponent,
@@ -44,6 +43,18 @@ def mod_oracle(a: int, m: int) -> int:
     while a.bit_length() >= m.bit_length():
         a ^= m << (a.bit_length() - m.bit_length())
     return a
+
+
+def gcd_oracle(a: int, b: int) -> int:
+    """The common divisor of highest degree, by trial of every mask of
+    degree below the smaller operand's bit length."""
+    if not (a and b):
+        return a | b
+    cap = 1 << min(a.bit_length(), b.bit_length())
+    common = [
+        d for d in range(1, cap) if not mod_oracle(a, d) | mod_oracle(b, d)
+    ]
+    return max(common, key=int.bit_length)
 
 
 def pow_x_oracle(e: int, m: int) -> int:
@@ -165,22 +176,22 @@ def test_pow_x_mod_matches_oracle():
 
 
 def test_residue_arithmetic_matches_oracle():
-    # the quotient, product and power of residues that the ideal verdict
-    # of arraycode uses, on moduli up to degree 32
+    # the remainder on moduli up to degree 32, and the gcd that the ideal
+    # verdict of arraycode reduces every member by: exhaustive below 2^6,
+    # then on multiples of a common factor up to degree 10
     rng = random.Random(13)
     for _ in range(300):
         m = rng.randrange(2, 1 << rng.randrange(2, 34))
-        a, b = rng.randrange(1 << 40), rng.randrange(1 << 40)
-        q, rest = _divmod(b, m)
-        assert rest == mod_oracle(b, m)
-        assert mul_oracle(q, m) ^ rest == b
-        a, b = mod_oracle(a, m), mod_oracle(b, m)
-        assert _mulmod(a, b, m) == mod_oracle(mul_oracle(a, b), m)
-        e = rng.randrange(1, 80)
-        power = a
-        for _ in range(e - 1):
-            power = mod_oracle(mul_oracle(power, a), m)
-        assert _pow(a, e, m) == power
+        b = rng.randrange(1 << 40)
+        assert _mod(b, m) == mod_oracle(b, m)
+    for a in range(1 << 6):
+        for b in range(1 << 6):
+            assert _gcd(a, b) == gcd_oracle(a, b)
+    for _ in range(150):
+        g = rng.randrange(1, 1 << 5)
+        a = mul_oracle(g, rng.randrange(1 << 6))
+        b = mul_oracle(g, rng.randrange(1 << 6))
+        assert _gcd(a, b) == gcd_oracle(a, b)
 
 
 def test_pow_x_mod_errors():

@@ -1,6 +1,6 @@
 """Tests of the package as a whole: it imports only the standard library,
-every name it exports exists, and every name a module imports is used
-or exported."""
+every name it exports exists, every name a module imports is used or
+exported, and every private name a module defines is used."""
 
 import ast
 import json
@@ -84,3 +84,68 @@ def test_every_import_is_used_or_exported():
             if unused:
                 stale[name] = unused
     assert stale == {}
+
+
+def _loads(node, name: str) -> int:
+    """How many times the code under node reads the name."""
+    return sum(
+        isinstance(n, ast.Name)
+        and n.id == name
+        and isinstance(n.ctx, ast.Load)
+        for n in ast.walk(node)
+    )
+
+
+def _private_definitions(tree):
+    """(name, node) for each private name a module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+            names = [
+                n.id
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name)
+            ]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_used():
+    # a private name counts as used when its own module reads it outside
+    # its definition, or a module that imports it from there reads it
+    package = os.path.join(SRC, "foldcodes")
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                trees[name[:-3]] = ast.parse(fh.read())
+    imports = [
+        (importer, node.module, alias.name)
+        for importer, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    unused = []
+    checked = 0
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            checked += 1
+            uses = _loads(tree, name) - _loads(node, name)
+            uses += sum(
+                _loads(trees[importer], name)
+                for importer, home, imported in imports
+                if (home, imported) == (module, name)
+            )
+            if not uses:
+                unused.append(f"{module}.{name}")
+    assert checked > 50
+    assert unused == []
