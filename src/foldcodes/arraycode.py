@@ -15,40 +15,36 @@ Array code kinds:
     SDBAC  shortened de Bruijn code    several arrays, nonzero matrices
     PRAC   pseudorandom array code     SDBAC closed under shift-and-add
 
-Closure and coverage of a PRA/PRAC are decided in one ideal where the
-algebra can say yes. On a coprime r x t torus the fold is the CRT
-isomorphism onto GF(2)[z]/(z^N - 1), N = rt, so the positioned arrays P
-(every 2D rotation of every array) are the cyclic shifts of the k
-sequences the arrays unfold to, and they span the ideal of their gcd g
-with z^N - 1. When k*N = 2^(n*m) - 1 and the ideal has dimension n*m,
-P is closed exactly when its members are distinct and nonzero. The
-window cells at anchor (0,0), read on the ideal's basis g*z^i, must
-have full rank: the position-independence criterion, read off the
-arrays. With it, the members are distinct and nonzero exactly when the
-code's windows are: for one array when its sequence has full period,
-for several when the windows set every flag of the table below. So
-every verified code on a coprime torus, the product folds included, is
-decided there, with no literal path. See _ideal_verdict.
+verify decides coverage once and reads closure off it. When the
+counting identity holds, the windows set flags in a table of 2^(n*m)
+bytes, and the code covers exactly when every flag ends up set (a
+shortened code's zero flag is set in advance). A walk runs only to
+name the first five repeated windows by their anchors, or when the
+count fails.
 
-The literal path serves only the codes the algebra does not verify, one
-that fails a step or a shape that is not coprime, and its notes are the
-ones the reports keep. Its closure is decided by rank: P is closed
-exactly when it is distinct and P with the zero array is a GF(2) space,
-|P| + 1 = 2^rank(P) (|P| = 2^rank(P) when a 1x1 zero array puts zero
-in P), walked in Gray-code order; a code that fails gets the note
-"positioned arrays span at least S words, more than |P| + 1 = N: not
-closed under shift-and-add". Its coverage, like that of the kinds
-without closure, reads every window of every array. When the counting
-identity holds, the windows set flags in a table of 2^(n*m) bytes, at
-most one more than the code has cells, and the code covers exactly
-when every flag ends up set (a shortened code's zero flag is set in
-advance). Only a code that leaves a flag unset gets a second pass,
-which names the first five repeated windows by their anchors from a
-dict of first anchors and then counts the rest of the keys in a set.
-A code whose count fails gets no table, only that pass.
-min_distance is exact at any size for a closed PRA/PRAC, where it is
-the minimum array weight; every other code is scanned pairwise, up to
-1024 distinct words.
+On a coprime r x t torus the fold is the CRT isomorphism onto
+GF(2)[z]/(z^N - 1), N = rt (Burton & Weldon, IEEE Trans. IT 1965; Imai,
+Inform. Control 1977), so the positioned arrays P of a PRA/PRAC (every
+2D rotation of every array) are the cyclic shifts of the k sequences
+s_i its arrays unfold to, and lie in the ideal I of
+g = gcd(z^N - 1, s_1, ..., s_k). It is an ideal code when its count
+k*N = 2^(n*m) - 1 holds and deg g = N - n*m, so dim I = n*m. The
+window at anchor (0,0) is linear on I and reads on P the code's
+windows at every anchor. When they cover it is onto, so a bijection,
+and the k*N members of P are distinct and nonzero: P = I minus zero,
+so an ideal code that covers is closed. A one-array ideal code covers
+exactly when that window, read on the basis g*z^i, has rank n*m and s_1
+has full period, so it gets no table.
+
+Every other PRA/PRAC (a shape that is not coprime, a code the degree
+test rejects, or one whose windows do not cover) gets the literal
+closure and its notes: P is closed exactly when it is distinct and
+|P| + 1 = 2^rank(P), as P with zero is a code exactly when it is a
+GF(2) space (MacWilliams & Sloane, Proc. IEEE 1976), walked in
+Gray-code order. Each ArrayCode keeps its report, so verify and
+min_distance decide it once. min_distance is exact at any size for a
+closed PRA/PRAC, where it is the minimum array weight; every other
+code is scanned pairwise, up to 1024 words.
 
 Every window key, of codes and of lfsr's sequences alike, comes from
 _window_keys, which builds the keys of many arrays at once. The cells
@@ -247,23 +243,6 @@ def _positioned(code: ArrayCode):
     return chain.from_iterable(map(_packed_shifts, code.arrays))
 
 
-def _linear_verdict(code: ArrayCode):
-    """(closed, notes, algebraic) for a PRA/PRAC code: the ideal verdict
-    where it shows the code closed and covering, else the literal verdict
-    with its notes. algebraic is True when the ideal verdict settled
-    closure and coverage together. It is decided once per ArrayCode
-    instance: the frozen instance keeps its verdict, so verify and
-    min_distance on one code share a single check."""
-    verdict = code.__dict__.get("_closure")
-    if verdict is None:
-        if _ideal_verdict(code):
-            verdict = True, (), True
-        else:
-            verdict = (*_literal_closure(code), False)
-        object.__setattr__(code, "_closure", verdict)
-    return verdict
-
-
 def _turn(value: int, k: int, n: int) -> int:
     """The n-bit value turned so that bit p of the result is bit p + k."""
     return ((value >> k) | (value << (n - k))) & ((1 << n) - 1)
@@ -313,55 +292,35 @@ def _window_cells(r: int, t: int, n: int, m: int):
             yield i + r * ((v - i) * rinv % t)
 
 
-def _ideal_verdict(code: ArrayCode) -> bool:
-    """True when algebra shows the code closed under shift-and-add with
-    every nonzero n x m window once; False when it cannot say.
-
-    For coprime r and t the fold is a ring isomorphism of
-    GF(2)[x,y]/(x^r - 1, y^t - 1) onto GF(2)[z]/(z^N - 1), N = rt, with
-    2D rotations going to cyclic shifts (Burton & Weldon, IEEE Trans. IT
-    1965; Imai, Inform. Control 1977). So the positioned arrays P are the
-    shifts of the gathered sequences s_1, ..., s_k, and their span is the
-    ideal of g = gcd(z^N - 1, s_1, ..., s_k), of dimension d = N - deg g.
-    The algebra is tried only when the counting identity k*N = 2^(n*m) - 1
-    holds and d = n*m, so P, of k*N members of the ideal, is closed
-    exactly when they are distinct and nonzero: P is then the whole
-    nonzero ideal.
-
-    * The window at anchor (0,0) is linear on the ideal, and a bijection
-      of it onto the n*m-bit words exactly when its cells, read on the
-      basis g*z^i, i < d, have rank d. A closed code covers every
-      nonzero window exactly then.
-    * With that rank, the members of P are distinct and nonzero exactly
-      when their windows at anchor (0,0) are, and those are the code's
-      windows at every anchor. For one array (k = 1) they are exactly
-      when s_1 has N shifts, none fixed by the shift by N/p, p a prime
-      dividing N (s_1 is nonzero, as deg g < N); for several, the flag
-      table of _flags_cover decides it.
-
-    Every closed code that covers, on a coprime torus with the counting
-    identity, passes, the folds of products of irreducibles included.
-    """
-    r, t, n, m = code.r, code.t, code.n, code.m
-    size, k, d = r * t, len(code.arrays), n * m
-    if not (n >= 1 and m >= 1 and d <= _MAX_WINDOW):
-        return False
-    if k * size != (1 << d) - 1 or gcd(r, t) != 1:
-        return False
+def _ideal(code: ArrayCode):
+    """(g, seqs) when a PRA/PRAC whose count holds is an ideal code: its
+    r x t torus is coprime and g = gcd(z^N - 1, s_1, ..., s_k), N = rt,
+    over the sequences seqs its arrays unfold to has degree N - n*m;
+    None otherwise."""
+    r, t = code.r, code.t
+    if gcd(r, t) != 1:
+        return None
+    size = r * t
     seqs = [_gather(a) for a in code.arrays]
     g = reduce(_gcd, seqs, (1 << size) | 1)
-    if g.bit_length() - 1 != size - d:
-        return False
+    if g.bit_length() - 1 != size - code.n * code.m:
+        return None
+    return g, seqs
+
+
+def _one_array_covers(code: ArrayCode, g: int, seqs: list) -> bool:
+    """Whether the windows of a one-array ideal code cover: the window
+    cells at anchor (0,0), read on the ideal's basis g*z^i, i < n*m,
+    have rank n*m, and its one sequence has full period."""
+    r, t, n, m = code.r, code.t, code.n, code.m
+    (seq,) = seqs
+    d = n * m
     # row (u, v) holds cell (u, v) of each basis word g*z^i, whose
     # sequence position p has bit p - i of g; d bits of g shifted by
     # d - 1 hold them all, highest i first
     spread, low = g << (d - 1), (1 << d) - 1
     rows = ((spread >> p) & low for p in _window_cells(r, t, n, m))
-    if not _independent(rows):
-        return False
-    if k == 1:
-        return _minimal_period(seqs[0], size) == size
-    return _flags_cover(_windows(code), 1 << d, full=False)
+    return _independent(rows) and _minimal_period(seq, r * t) == r * t
 
 
 def _literal_closure(code: ArrayCode):
@@ -603,7 +562,11 @@ def _walk_cover(code: ArrayCode, want: int, full: bool):
 
 def verify(code: ArrayCode) -> VerifyReport:
     """Check the counting identity, dimension conditions, exact window
-    coverage, and (for PRA/PRAC) shift-and-add closure."""
+    coverage, and (for PRA/PRAC) shift-and-add closure. The report is
+    decided once per ArrayCode instance, which keeps it."""
+    report = code.__dict__.get("_report")
+    if report is not None:
+        return report
     r, t, n, m = code.r, code.t, code.n, code.m
     notes = []
     full = code.kind in _FULL_KINDS
@@ -625,26 +588,37 @@ def verify(code: ArrayCode) -> VerifyReport:
     if not dims_ok:
         notes.append(f"dimension conditions fail for {r}x{t} vs {n}x{m}")
 
-    # a PRA/PRAC code whose ideal verdict holds needs no window walk
-    closure_ok, closure_notes, algebraic = None, (), False
-    if code.kind in _LINEAR_KINDS:
-        closure_ok, closure_notes, algebraic = _linear_verdict(code)
-    coverage_ok = True
+    linear = code.kind in _LINEAR_KINDS
+    ideal = _ideal(code) if linear and counting_ok else None
     if not in_range:
         coverage_ok = False
         notes.append("window size out of supported range")
-    elif not algebraic:
-        # with the count holding, the windows cover exactly when they
-        # flag every window of the space; the walk runs only to name the
+    else:
+        # a one-array ideal code covers exactly when the algebra says so;
+        # any other code whose count holds, exactly when its windows flag
+        # every window of the space; the walk runs only to name the
         # repeats, or when the count fails
-        if not (counting_ok and _flags_cover(_windows(code), space, full)):
+        if ideal and len(code.arrays) == 1:
+            coverage_ok = _one_array_covers(code, *ideal)
+        else:
+            coverage_ok = counting_ok and _flags_cover(
+                _windows(code), space, full
+            )
+        if not coverage_ok:
             coverage_ok, walk_notes = _walk_cover(code, want, full)
             notes.extend(walk_notes)
 
-    notes.extend(closure_notes)
+    closure_ok = None
+    if linear:
+        # an ideal code that covers is the whole nonzero ideal
+        if ideal and coverage_ok:
+            closure_ok = True
+        else:
+            closure_ok, closure_notes = _literal_closure(code)
+            notes.extend(closure_notes)
     if closure_ok:
         notes.append("closure tested up to 2D rotation of code arrays")
-    return VerifyReport(
+    report = VerifyReport(
         kind=code.kind,
         counting_ok=counting_ok,
         dims_ok=dims_ok,
@@ -652,6 +626,8 @@ def verify(code: ArrayCode) -> VerifyReport:
         closure_ok=closure_ok,
         notes=tuple(notes),
     )
+    object.__setattr__(code, "_report", report)
+    return report
 
 
 def min_distance(code: ArrayCode) -> int:
@@ -668,7 +644,7 @@ def min_distance(code: ArrayCode) -> int:
         raise ValueError("empty code")
     if code.kind in _LINEAR_KINDS:
         wmin = min(a.weight() for a in code.arrays)
-        if wmin and _linear_verdict(code)[0]:
+        if wmin and verify(code).closure_ok:
             return wmin
     # collecting stops at the 1025th distinct word, so a large code is
     # refused without holding its rotations

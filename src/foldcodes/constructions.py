@@ -188,6 +188,11 @@ def _pf_checked(pf: PerfectFactor) -> None:
         raise PreconditionError("input is not a valid perfect factor")
 
 
+# Most cells that the words of a composition hold together, the cap of
+# fold: pmc-odd of PF(3,2) with m = 3, 2^19 words of 4 x 8, is at it.
+_WORD_CELLS = 1 << 24
+
+
 def _columns(n: int, m: int, odd: bool) -> int:
     """The l data columns of a composition, 2^m - 1 for pmc-odd and 2^m
     for pmc-sd, refused unless the n x l window has at most 24 cells.
@@ -220,9 +225,17 @@ def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, tail):
     and collapsed to its canonical 2D rotation, and the heads of its
     rotations are marked, by small-int work on the ids, one byte per
     head. The dedup of the kept arrays by packed value keeps the result
-    exact.
+    exact. Words of more than _WORD_CELLS cells in all are refused
+    before the first is built.
     """
     n, r = pf.order, 1 << pf.subdegree
+    # a head's index holds i_0, then the n-bit ids i_c*r + j_c, 0 < c < l
+    words = 1 << (n * ell - pf.subdegree)
+    if words * r * t > _WORD_CELLS:
+        raise ValueError(
+            f"composition of {words} words of {r}x{t} cells exceeds "
+            "the cap of 2^24 cells"
+        )
     plain = 1 << n  # the ids of plain columns, i*r + j
     full = (1 << (r * t)) - 1
     ones = full // ((1 << t) - 1)  # bit u*t for every row u
@@ -237,8 +250,7 @@ def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, tail):
         for (i, j), col in turned.items():
             ids[i, j, bar] = id_of.setdefault(col ^ bar * ones, len(id_of))
     masks = list(id_of)
-    # a head's index holds i_0, then the n-bit ids i_c*r + j_c, 0 < c < l
-    marked = bytearray(1 << (n * ell - pf.subdegree))
+    marked = bytearray(words)
     classes = {}
     index = 0
     while index >= 0:

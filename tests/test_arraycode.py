@@ -5,7 +5,7 @@ key and the shift-and-add closure quantifier (all ordered pairs of
 positioned codewords, membership up to rotation), plus the pairwise
 closure scan and pairwise minimum distance that the rank closure and the
 minimum-weight distance replaced. verify's literal path (rotation set,
-Gray walk, window dict) is the oracle of its ideal verdict.
+Gray walk, window dict) is the oracle of its ideal path.
 """
 
 import random
@@ -24,8 +24,8 @@ from foldcodes.arraycode import (
     ArrayCode,
     CyclicArray,
     VerifyReport,
-    _ideal_verdict,
-    _linear_verdict,
+    _ideal,
+    _literal_closure,
     _packed_shifts,
     _window_keys,
     add2d,
@@ -513,15 +513,13 @@ def test_verify_invariant_under_member_shifts():
 
 
 def test_closure_matches_literal_oracle():
-    ok, _ = _linear_verdict(PRAC37_CODE)[:2]
-    assert ok is True
+    assert verify(PRAC37_CODE).closure_ok is True
     assert closure_oracle(PRAC37_CODE) is True
     # breaking one bit must fail both
     rows = PRAC37[0].row_strings()
     broken = CyclicArray(["1" + rows[0][1:], rows[1], rows[2]])
     bad = ArrayCode("PRAC", 3, 7, 2, 3, (broken,) + PRAC37[1:])
-    ok, _ = _linear_verdict(bad)[:2]
-    assert ok is False
+    assert verify(bad).closure_ok is False
     assert closure_oracle(bad) is False
 
 
@@ -679,10 +677,12 @@ def _perturb(code, how, k, i, j):
 
 
 def _assert_matches_pairwise(code):
-    closed, notes = _linear_verdict(code)[:2]
+    rep = verify(code)
+    closed = rep.closure_ok
     assert closed is pairwise_closure(code)
     if not closed:
-        assert len(notes) == 1
+        # the literal closure's one note ends the report
+        assert _literal_closure(code) == (False, rep.notes[-1:])
     try:
         expected = pairwise_distance(code)
     except ValueError:
@@ -699,7 +699,11 @@ def test_folded_codes_match_pairwise_oracles():
         len(code.arrays) * code.r * code.t <= 255 for code in FOLDED
     )
     for code in FOLDED:
-        assert _linear_verdict(code)[:2] == (True, ())
+        rep = verify(code)
+        assert rep.closure_ok is True
+        assert rep.notes[-1] == (
+            "closure tested up to 2D rotation of code arrays"
+        )
         _assert_matches_pairwise(code)
 
 
@@ -724,8 +728,8 @@ def test_one_by_one_closure_matches_pairwise(cells):
 
 
 def test_closure_failure_note_states_span_size():
-    dropped = ArrayCode("PRAC", 3, 7, 2, 3, PRAC37[1:])
-    assert _linear_verdict(dropped)[:2] == (
+    dropped = verify(ArrayCode("PRAC", 3, 7, 2, 3, PRAC37[1:]))
+    assert (dropped.closure_ok, dropped.notes[-1:]) == (
         False,
         (
             "positioned arrays span at least 64 words, more than "
@@ -734,18 +738,24 @@ def test_closure_failure_note_states_span_size():
     )
 
 
-# ------------------------------------------ ideal verdict vs literal path
+# -------------------------------------------- ideal path vs literal path
 
 
 def literal_report(code):
-    """verify's report on a fresh copy of code with the ideal verdict
-    switched off, so the rotation set, the Gray walk and the window dict
-    decide."""
-    fresh = ArrayCode(
-        code.kind, code.r, code.t, code.n, code.m, code.arrays
-    )
-    with mock.patch.object(arraycode, "_ideal_verdict", lambda code: False):
-        return verify(fresh)
+    """verify's report on a fresh copy of code with no code taken for an
+    ideal code, so the flag table, the window dict, the rotation set and
+    the Gray walk decide."""
+    with mock.patch.object(arraycode, "_ideal", lambda code: None):
+        return verify(replace(code))
+
+
+def verify_spied(code):
+    """verify's report on a fresh copy of code, and whether the literal
+    closure ran."""
+    with mock.patch.object(
+        arraycode, "_literal_closure", wraps=_literal_closure
+    ) as literal:
+        return verify(replace(code)), literal.called
 
 
 def window_coverage_oracle(code):
@@ -761,8 +771,8 @@ def window_coverage_oracle(code):
 
 
 def _ideal_cases():
-    """(name, code, whether the ideal verdict holds) for codes that reach
-    each of its steps."""
+    """(name, code, whether the ideal path verifies it) for codes that
+    reach each of its steps."""
     P = Gf2Poly.parse
     quartic = generate_cycles(P("x^4+x^3+x^2+x+1")).members[0]
     return [
@@ -824,10 +834,9 @@ IDEAL_CASES = _ideal_cases()
     ids=[case[0] for case in IDEAL_CASES],
 )
 def test_ideal_verdict_matches_the_literal_oracles(code, holds):
-    assert _ideal_verdict(code) is holds
-    rep = verify(code)
-    assert _linear_verdict(code)[2] is holds
-    assert rep == literal_report(code)
+    rep, literal = verify_spied(code)
+    assert literal is not holds
+    assert rep == verify(code) == literal_report(code)
     assert rep.closure_ok is closure_oracle(code) is pairwise_closure(code)
     assert rep.coverage_ok is window_coverage_oracle(code)
     if holds:
@@ -838,20 +847,23 @@ def test_ideal_verdict_matches_the_literal_oracles(code, holds):
 
 def test_a_member_outside_the_first_ideal_fails_the_degree_test():
     # g is the gcd over every member, so a second member outside the
-    # ideal of the first lowers deg g; the flag table never runs
+    # ideal of the first lowers deg g, on a coprime torus whose count
+    # holds
     code = _perturb(PRAC37_CODE, "flip", 1, 1, 2)
-    with mock.patch.object(
-        arraycode, "_flags_cover", side_effect=AssertionError
-    ):
-        assert _ideal_verdict(code) is False
+    assert verify(code).counting_ok and gcd(code.r, code.t) == 1
+    assert _ideal(code) is None
+    assert _ideal(PRAC37_CODE) is not None
 
 
-def assert_ideal_path_iff_verified(code, rep):
-    """The ideal verdict settles exactly the codes on a coprime torus
-    that verify; every other code takes the literal path."""
+def assert_ideal_path_iff_verified(code):
+    """verify's report on a fresh copy of code, after checking that the
+    literal closure runs on exactly the codes that are not on a coprime
+    torus or do not verify."""
+    rep, literal = verify_spied(code)
     coprime = gcd(code.r, code.t) == 1
     passing = rep.counting_ok and rep.closure_ok and rep.coverage_ok
-    assert _linear_verdict(code)[2] is (coprime and passing)
+    assert literal is not (coprime and passing)
+    return rep
 
 
 def test_folds_to_degree_10_take_the_ideal_path():
@@ -860,12 +872,8 @@ def test_folds_to_degree_10_take_the_ideal_path():
     assert len(PRAC_FOLDS) > 600
     verified = 0
     for code in chain(PRAC_FOLDS, PRODUCT_FOLDS):
-        fresh = ArrayCode(
-            code.kind, code.r, code.t, code.n, code.m, code.arrays
-        )
-        rep = verify(fresh)
+        rep = assert_ideal_path_iff_verified(code)
         assert rep == literal_report(code)
-        assert_ideal_path_iff_verified(fresh, rep)
         verified += rep.ok
     # all but the quartics' (4,2) windows on 3 x 5 and 15 x 1 and the
     # cubics' (2,3) windows on one row
@@ -884,11 +892,10 @@ def test_perturbed_folds_match_the_literal_path(data):
     code = _perturb(code, how, k, i, j)
     if not code.arrays:
         return
-    rep = verify(code)
-    assert rep == literal_report(code)
     # the ideal path runs on exactly the perturbed codes that still
     # verify: a rotated member, or a twin of the only member
-    assert_ideal_path_iff_verified(code, rep)
+    rep = assert_ideal_path_iff_verified(code)
+    assert rep == literal_report(code)
 
 
 def _equal_exponent_products(deg):
@@ -917,12 +924,8 @@ def test_equal_exponent_product_folds_match_the_literal_path():
     verified = 0
     for case in cases:
         code = experiment_product_fold(*case).produced
-        fresh = ArrayCode(
-            code.kind, code.r, code.t, code.n, code.m, code.arrays
-        )
-        rep = verify(fresh)
+        rep = assert_ideal_path_iff_verified(code)
         assert rep == literal_report(code)
-        assert_ideal_path_iff_verified(fresh, rep)
         verified += rep.ok
     assert (len(cases), verified) == (144 + 40, 44)
 
@@ -997,8 +1000,8 @@ def test_window_keys_across_batches_match_the_oracle(monkeypatch, batch, data):
 
 
 def test_min_distance_reuses_the_closure_verdict_of_verify(monkeypatch):
-    import foldcodes.arraycode as arraycode
-
+    # the report is kept on the code: one algebraic or literal closure
+    # serves verify and min_distance
     calls = []
 
     def counted(verdict):
@@ -1008,7 +1011,7 @@ def test_min_distance_reuses_the_closure_verdict_of_verify(monkeypatch):
 
         return call
 
-    for name in ("_ideal_verdict", "_literal_closure"):
+    for name in ("_ideal", "_literal_closure"):
         monkeypatch.setattr(arraycode, name, counted(getattr(arraycode, name)))
     code = ArrayCode("PRAC", 3, 7, 2, 3, PRAC37)
     assert verify(code).ok
@@ -1019,6 +1022,23 @@ def test_min_distance_reuses_the_closure_verdict_of_verify(monkeypatch):
     assert min_distance(again) == 8
     assert len(calls) == 2
     assert again == code
+
+
+def test_a_failing_ideal_code_reads_its_windows_twice():
+    # the degree-12, e = 35 PRAC on 1 x 35 with array 3 replaced by a
+    # rotation of array 4: count, degree and rank hold, and the windows
+    # repeat; one flag pass finds that and one walk names the repeats
+    f = enumerate_irreducible(12, 35)[0]
+    code = _perturb(construct_prac_fold(f, 1, 12).produced, "twin", 3, 0, 5)
+    assert len(code.arrays) == 117 and _ideal(code) is not None
+    with mock.patch.object(
+        arraycode, "_window_keys", wraps=arraycode._window_keys
+    ) as keys:
+        rep = verify(code)
+    assert rep == literal_report(code)
+    assert not rep.coverage_ok and not rep.closure_ok
+    assert " repeats " in rep.notes[0]
+    assert keys.call_count == 2
 
 
 @pytest.mark.parametrize("n, m", [(5, 8), (10**9, 10**9), (1, 33)])
@@ -1034,7 +1054,7 @@ def test_window_beyond_the_cap_is_refused_without_counting(n, m):
 
 
 def _assert_coverage_matches_oracle(code):
-    rep = verify(code)
+    rep = verify(replace(code))
     ok, notes = coverage_oracle(code)
     assert rep.coverage_ok is ok
     assert _coverage_notes(rep) == notes
@@ -1182,7 +1202,7 @@ def test_the_walk_runs_only_where_the_flag_table_cannot_decide():
 
     with mock.patch.multiple(arraycode, _flags_cover=flags, _walk_cover=walk):
         for code in _VERIFIED:
-            assert verify(code).ok
+            assert verify(replace(code)).ok
             assert not verify(replace(code, n=4, m=8)).counting_ok
     assert calls == [
         ("_flags_cover", 4), ("_walk_cover", 32),

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import foldcodes
+import foldcodes.constructions as constructions
 from foldcodes.cli import run
 
 
@@ -367,6 +368,44 @@ def test_construct_pmc_sd(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "claimed=1 verified=False" in out
     assert "size mismatch" in out
+
+
+def _no_word(a):
+    raise AssertionError("a word of the composition was built")
+
+
+@pytest.mark.parametrize(
+    "argv, words, shape",
+    [
+        (["pmc-sd", "--n", "3", "--k", "3", "--m", "3"], 2097152, "8x16"),
+        (["pmc-sd", "--n", "6", "--k", "6", "--m", "2"], 262144, "64x8"),
+        (
+            ["pmc-sd", "--n", "6", "--k", "3", "--m", "2", "--parity", "even"],
+            2097152,
+            "8x8",
+        ),
+    ],
+)
+def test_composition_over_the_word_budget_is_refused(
+    monkeypatch, capsys, argv, words, shape
+):
+    # the words would hold 2^28, 2^27 and 2^27 cells; the refusal comes
+    # before the first word is built
+    monkeypatch.setattr(constructions, "canonical2d", _no_word)
+    assert run(["construct", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: composition of {words} words of {shape} cells exceeds "
+        "the cap of 2^24 cells\n"
+    )
+
+
+def test_composition_at_the_word_budget_is_admitted(monkeypatch):
+    # pmc-odd of PF(3,2) with m = 3: 2^19 words of 4 x 8, 2^24 cells
+    monkeypatch.setattr(constructions, "canonical2d", _no_word)
+    with pytest.raises(AssertionError, match="was built"):
+        run(["construct", "pmc-odd", "--n", "3", "--k", "2", "--m", "3"])
 
 
 def test_construct_db_direct_pipeline(tmp_path, capsys):

@@ -1,14 +1,17 @@
 """Tests of the package as a whole: it imports only the standard library,
 every name it exports exists, every name a module imports is used or
-exported, and every private name a module defines is used."""
+exported, every private name a module defines is used, and every private
+name the docs mention is defined."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+SRC = os.path.join(ROOT, "src")
 
 # Run isolated (-I: no environment variables, no user site, no script
 # directory on the path), so only src/ and the interpreter's own paths
@@ -118,15 +121,21 @@ def _private_definitions(tree):
                 yield name, node
 
 
-def test_every_private_name_is_used():
-    # a private name counts as used when its own module reads it outside
-    # its definition, or a module that imports it from there reads it
+def _package_trees() -> dict:
+    """The parsed source of each package module, by module name."""
     package = os.path.join(SRC, "foldcodes")
     trees = {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 trees[name[:-3]] = ast.parse(fh.read())
+    return trees
+
+
+def test_every_private_name_is_used():
+    # a private name counts as used when its own module reads it outside
+    # its definition, or a module that imports it from there reads it
+    trees = _package_trees()
     imports = [
         (importer, node.module, alias.name)
         for importer, tree in trees.items()
@@ -149,3 +158,44 @@ def test_every_private_name_is_used():
                 unused.append(f"{module}.{name}")
     assert checked > 50
     assert unused == []
+
+
+# a private name in prose: an underscore that does not continue a word
+# (so not s_1 or __init__), then a letter
+_PRIVATE_WORD = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+_DOC_NODES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _bound_names(tree):
+    """Every function, class and assigned name of a module, at any
+    depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, _DOC_NODES[1:]):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def test_docs_name_only_live_private_names():
+    # every private name that a docstring of the package or README
+    # mentions is defined in the package, so no doc points at code that
+    # is gone
+    trees = _package_trees()
+    texts = [
+        (f"{module}.py", ast.get_docstring(node) or "")
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, _DOC_NODES)
+    ]
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        texts.append(("README.md", fh.read()))
+    defined = {name for tree in trees.values() for name in _bound_names(tree)}
+    named = {
+        (where, name)
+        for where, text in texts
+        for name in _PRIVATE_WORD.findall(text)
+    }
+    assert len(named) >= 5
+    assert sorted(
+        f"{where}: {name}" for where, name in named if name not in defined
+    ) == []
