@@ -22,29 +22,21 @@ shortened code's zero flag is set in advance). A walk runs only to
 name the first five repeated windows by their anchors, or when the
 count fails.
 
-On a coprime r x t torus the fold is the CRT isomorphism onto
-GF(2)[z]/(z^N - 1), N = rt (Burton & Weldon, IEEE Trans. IT 1965; Imai,
-Inform. Control 1977), so the positioned arrays P of a PRA/PRAC (every
-2D rotation of every array) are the cyclic shifts of the k sequences
-s_i its arrays unfold to, and lie in the ideal I of
-g = gcd(z^N - 1, s_1, ..., s_k). It is an ideal code when its count
-k*N = 2^(n*m) - 1 holds and deg g = N - n*m, so dim I = n*m. The
-window at anchor (0,0) is linear on I and reads on P the code's
-windows at every anchor. When they cover it is onto, so a bijection,
-and the k*N members of P are distinct and nonzero: P = I minus zero,
-so an ideal code that covers is closed. A one-array ideal code covers
-exactly when that window, read on the basis g*z^i, has rank n*m and s_1
-has full period, so it gets no table.
-
-Every other PRA/PRAC (a shape that is not coprime, a code the degree
-test rejects, or one whose windows do not cover) gets the literal
-closure and its notes: P is closed exactly when it is distinct and
-|P| + 1 = 2^rank(P), as P with zero is a code exactly when it is a
-GF(2) space (MacWilliams & Sloane, Proc. IEEE 1976), walked in
-Gray-code order. Each ArrayCode keeps its report, so verify and
-min_distance decide it once. min_distance is exact at any size for a
-closed PRA/PRAC, where it is the minimum array weight; every other
-code is scanned pairwise, up to 1024 words.
+Closure of a PRA/PRAC is one rule on its positioned arrays P (every 2D
+rotation of every array). P with zero is closed exactly when it is a
+GF(2) space (MacWilliams & Sloane, Proc. IEEE 1976). On a coprime r x t
+torus the fold is the CRT isomorphism onto GF(2)[z]/(z^N - 1), N = rt
+(Imai, Inform. Control 1977), so P lies in the ideal of
+g = gcd(z^N - 1, s_1, ..., s_k) over the sequences s_i the arrays
+unfold to, and P is closed exactly when it is distinct and fills that
+ideal: |P| + 1 = 2^(N - deg g). On any other torus no nonempty distinct
+P is closed. A one-array code whose count holds and whose ideal has
+dimension n*m covers exactly when the window at anchor (0,0), read on
+the basis g*z^i, has rank n*m and s_1 has full period, so it gets no
+table. Each ArrayCode keeps its report, so verify and min_distance
+decide it once. min_distance is exact at any size for a closed
+PRA/PRAC, where it is the minimum array weight; every other code is
+scanned pairwise, up to 1024 words.
 
 Every window key, of codes and of lfsr's sequences alike, comes from
 _window_keys, which builds the keys of many arrays at once. The cells
@@ -293,25 +285,21 @@ def _window_cells(r: int, t: int, n: int, m: int):
 
 
 def _ideal(code: ArrayCode):
-    """(g, seqs) when a PRA/PRAC whose count holds is an ideal code: its
-    r x t torus is coprime and g = gcd(z^N - 1, s_1, ..., s_k), N = rt,
-    over the sequences seqs its arrays unfold to has degree N - n*m;
-    None otherwise."""
+    """(g, seqs) on a coprime r x t torus: the sequences seqs the arrays
+    unfold to, and g = gcd(z^N - 1, s_1, ..., s_k), N = rt, the generator
+    of the ideal they span; None on any other torus."""
     r, t = code.r, code.t
     if gcd(r, t) != 1:
         return None
-    size = r * t
     seqs = [_gather(a) for a in code.arrays]
-    g = reduce(_gcd, seqs, (1 << size) | 1)
-    if g.bit_length() - 1 != size - code.n * code.m:
-        return None
-    return g, seqs
+    return reduce(_gcd, seqs, (1 << r * t) | 1), seqs
 
 
 def _one_array_covers(code: ArrayCode, g: int, seqs: list) -> bool:
-    """Whether the windows of a one-array ideal code cover: the window
-    cells at anchor (0,0), read on the ideal's basis g*z^i, i < n*m,
-    have rank n*m, and its one sequence has full period."""
+    """Whether the windows of a one-array code cover, when its count
+    holds and its ideal has dimension n*m: the window cells at anchor
+    (0,0), read on the ideal's basis g*z^i, i < n*m, have rank n*m, and
+    its one sequence has full period."""
     r, t, n, m = code.r, code.t, code.n, code.m
     (seq,) = seqs
     d = n * m
@@ -323,49 +311,54 @@ def _one_array_covers(code: ArrayCode, g: int, seqs: list) -> bool:
     return _independent(rows) and _minimal_period(seq, r * t) == r * t
 
 
-def _literal_closure(code: ArrayCode):
-    """Shift-and-add closure over positioned codewords.
+def _closure(code: ArrayCode, ideal, covered: bool):
+    """(closed, notes) of a PRA/PRAC. Its positioned arrays P are closed
+    under shift-and-add exactly when P u {0} is a GF(2) space
+    (MacWilliams & Sloane, Proc. IEEE 1976), which holds exactly when P
+    is distinct and |P u {0}| = 2^d: d = N - deg g on a coprime torus,
+    with g from ideal (see _ideal), and d = 0 on any other.
 
-    The positioned arrays P are closed under adding two distinct members
-    exactly when P with the zero word is a GF(2) space, that is when
-    |P u {0}| = 2^rank(P) (MacWilliams & Sloane, Proc. IEEE 1976). The
-    rank is at least k = log2 |P u {0}|, since the span holds P and zero.
-    So k independent words are taken from P into a basis keyed by
-    leading bit, and their span, walked in Gray-code order, must lie in
-    P u {0}; the first span word outside P shows a rank above k.
+    - Coprime: each member of P is some z^a * s_i, so P u {0} lies in
+      the ideal I = (g), and |I| = 2^(N - deg g). A closed P u {0} is a
+      shift-invariant space, so an ideal, and holds every s_i: it is I.
+      Conversely a subset of I as large as I is I.
+    - Otherwise a prime p divides r and t. If P is distinct, no rotation
+      in Z_p x Z_p but the identity fixes a member. Yet one fixes a
+      nonzero word of any space V != {0} closed under rotation: for
+      p = 2 the 2^dim(V) - 1 nonzero words fall into orbits of sizes
+      2^j, so one orbit is a single word; for odd p, V over the closure
+      of GF(2) splits into characters of Z_p x Z_p, the kernel of one,
+      of order at least p, holds an h other than the identity that
+      fixes a nonzero vector, and ker(h - 1) has the same dimension
+      over GF(2). So only the empty P is closed.
+    - Covering windows (covered) make P distinct and free of zero, as
+      equal members repeat a window, so |P u {0}| = k*N + 1 unlisted.
+      Otherwise a one-array code on a coprime torus has as many distinct
+      members as the minimal period of its sequence, and any other code
+      lists its rotations.
     """
-    positioned = set(_positioned(code))
-    expect = len(code.arrays) * code.r * code.t
-    if len(positioned) != expect:
+    count = len(code.arrays) * code.r * code.t
+    if covered:
+        distinct, zero = count, False
+    elif ideal and len(code.arrays) == 1:
+        (seq,) = ideal[1]
+        distinct, zero = _minimal_period(seq, code.r * code.t), seq == 0
+    else:
+        positioned = set(_positioned(code))
+        distinct, zero = len(positioned), 0 in positioned
+    if distinct != count:
         return False, (
-            f"positioned arrays are not distinct "
-            f"({len(positioned)} of {expect})",
+            f"positioned arrays are not distinct ({distinct} of {count})",
         )
-    size = len(positioned) + (0 not in positioned)
+    size = count + (not zero)
     rank = size.bit_length() - 1
-    span_note = (
+    dim = code.r * code.t + 1 - ideal[0].bit_length() if ideal else 0
+    if size == 1 << rank and rank == dim:
+        return True, ()
+    return False, (
         f"positioned arrays span at least {2 << rank} words, more than "
-        f"|P| + 1 = {size}: not closed under shift-and-add"
+        f"|P| + 1 = {size}: not closed under shift-and-add",
     )
-    if size != 1 << rank:
-        return False, (span_note,)
-    basis = {}
-    words = iter(positioned)
-    while len(basis) < rank:
-        v = next(words)
-        while v:
-            top = v.bit_length()
-            if top not in basis:
-                basis[top] = v
-                break
-            v ^= basis[top]
-    gens = list(basis.values())
-    v = 0
-    for i in range(1, size):
-        v ^= gens[(i & -i).bit_length() - 1]
-        if v not in positioned:
-            return False, (span_note,)
-    return True, ()
 
 
 def _window_keys(values, r: int, t: int, n: int, m: int):
@@ -589,16 +582,18 @@ def verify(code: ArrayCode) -> VerifyReport:
         notes.append(f"dimension conditions fail for {r}x{t} vs {n}x{m}")
 
     linear = code.kind in _LINEAR_KINDS
-    ideal = _ideal(code) if linear and counting_ok else None
+    ideal = _ideal(code) if linear else None
     if not in_range:
         coverage_ok = False
         notes.append("window size out of supported range")
     else:
-        # a one-array ideal code covers exactly when the algebra says so;
-        # any other code whose count holds, exactly when its windows flag
-        # every window of the space; the walk runs only to name the
-        # repeats, or when the count fails
-        if ideal and len(code.arrays) == 1:
+        # a one-array code whose count holds and whose ideal has dimension
+        # n*m covers exactly when the algebra says so; any other code
+        # whose count holds, exactly when its windows flag every window
+        # of the space; the walk runs only to name the repeats, or when
+        # the count fails
+        one = counting_ok and len(code.arrays) == 1 and ideal
+        if one and ideal[0].bit_length() - 1 == r * t - n * m:
             coverage_ok = _one_array_covers(code, *ideal)
         else:
             coverage_ok = counting_ok and _flags_cover(
@@ -610,12 +605,8 @@ def verify(code: ArrayCode) -> VerifyReport:
 
     closure_ok = None
     if linear:
-        # an ideal code that covers is the whole nonzero ideal
-        if ideal and coverage_ok:
-            closure_ok = True
-        else:
-            closure_ok, closure_notes = _literal_closure(code)
-            notes.extend(closure_notes)
+        closure_ok, closure_notes = _closure(code, ideal, coverage_ok)
+        notes.extend(closure_notes)
     if closure_ok:
         notes.append("closure tested up to 2D rotation of code arrays")
     report = VerifyReport(

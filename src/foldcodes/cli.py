@@ -153,9 +153,11 @@ def _doc_arrays(doc: dict):
     for idx, rows in enumerate(raw):
         if len(rows) != r or any(len(row) != t for row in rows):
             raise _CliError(f"array {idx} is not {r}x{t}")
-        if not all(_DIGITS.issuperset(row) for row in rows):
+        # the rows in cell order, reversed, are the packed value's digits
+        text = "".join(rows)
+        if not _DIGITS.issuperset(text):
             raise _CliError(f"array {idx} has non-binary cells")
-        arrays.append(CyclicArray(rows))
+        arrays.append(CyclicArray._wrap(int(text[::-1], 2), r, t))
     return r, t, arrays
 
 

@@ -26,6 +26,7 @@ from .arraycode import (
 from .folding import fold
 from .gf2poly import (
     Gf2Poly,
+    _irreducible_order,
     enumerate_irreducible,
     exponent,
     is_irreducible,
@@ -490,7 +491,9 @@ def construct_prac_fold(f: Gf2Poly, n: int, m: int) -> ConstructionReport:
         )
     if n < 1:
         raise PreconditionError(f"window height n = {n} must be positive")
-    e = exponent(f)
+    # f is irreducible, so the prime descent alone gives its order; only
+    # f = x, which has no constant term, goes to exponent for its error
+    e = _irreducible_order(f.mask) if f.mask & 1 else exponent(f)
     r = (1 << n) - 1
     if e % r:
         raise PreconditionError(

@@ -4,13 +4,15 @@ Oracles: naive index-arithmetic implementations of shift, window, window
 key and the shift-and-add closure quantifier (all ordered pairs of
 positioned codewords, membership up to rotation), plus the pairwise
 closure scan and pairwise minimum distance that the rank closure and the
-minimum-weight distance replaced. verify's literal path (rotation set,
-Gray walk, window dict) is the oracle of its ideal path.
+minimum-weight distance replaced. The literal closure (rotation set,
+basis and Gray walk) and the window dict make verify's literal path, the
+oracle of its algebra.
 """
 
 import random
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 from itertools import chain, combinations
 from math import gcd
 from unittest import mock
@@ -25,7 +27,6 @@ from foldcodes.arraycode import (
     CyclicArray,
     VerifyReport,
     _ideal,
-    _literal_closure,
     _packed_shifts,
     _window_keys,
     add2d,
@@ -43,7 +44,7 @@ from foldcodes.constructions import (
     perfect_factor,
 )
 from foldcodes.folding import fold
-from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible, exponent
+from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible, exponent, mul
 from foldcodes.lfsr import generate_cycles, m_sequence
 
 FOLDPR = CyclicArray(["01010", "10001", "11011"])
@@ -174,6 +175,50 @@ def pairwise_closure(code):
                 if s == 0 or s not in positioned:
                     return False
     return True
+
+
+def literal_closure(code, *_):
+    """(closed, notes) of a PRA/PRAC from its rotation set, with the
+    notes of verify. P with the zero word is closed exactly when it is a
+    GF(2) space, that is when |P u {0}| = 2^rank(P) (MacWilliams &
+    Sloane, Proc. IEEE 1976). The rank is at least k = log2 |P u {0}|,
+    since the span holds P and zero. So k independent words are taken
+    from P into a basis keyed by leading bit, and their span, walked in
+    Gray-code order, must lie in P u {0}; the first span word outside P
+    shows a rank above k. Extra arguments, verify's for _closure, are
+    ignored."""
+    positioned = set(chain.from_iterable(map(_packed_shifts, code.arrays)))
+    expect = len(code.arrays) * code.r * code.t
+    if len(positioned) != expect:
+        return False, (
+            f"positioned arrays are not distinct "
+            f"({len(positioned)} of {expect})",
+        )
+    size = len(positioned) + (0 not in positioned)
+    rank = size.bit_length() - 1
+    span_note = (
+        f"positioned arrays span at least {2 << rank} words, more than "
+        f"|P| + 1 = {size}: not closed under shift-and-add"
+    )
+    if size != 1 << rank:
+        return False, (span_note,)
+    basis = {}
+    words = iter(positioned)
+    while len(basis) < rank:
+        v = next(words)
+        while v:
+            top = v.bit_length()
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    gens = list(basis.values())
+    v = 0
+    for i in range(1, size):
+        v ^= gens[(i & -i).bit_length() - 1]
+        if v not in positioned:
+            return False, (span_note,)
+    return True, ()
 
 
 def pairwise_distance(code):
@@ -682,7 +727,7 @@ def _assert_matches_pairwise(code):
     assert closed is pairwise_closure(code)
     if not closed:
         # the literal closure's one note ends the report
-        assert _literal_closure(code) == (False, rep.notes[-1:])
+        assert literal_closure(code) == (False, rep.notes[-1:])
     try:
         expected = pairwise_distance(code)
     except ValueError:
@@ -742,20 +787,33 @@ def test_closure_failure_note_states_span_size():
 
 
 def literal_report(code):
-    """verify's report on a fresh copy of code with no code taken for an
-    ideal code, so the flag table, the window dict, the rotation set and
-    the Gray walk decide."""
-    with mock.patch.object(arraycode, "_ideal", lambda code: None):
+    """verify's report on a fresh copy of code with no ideal found and the
+    literal closure for _closure, so the flag table, the window dict, the
+    rotation set and the Gray walk decide."""
+    with mock.patch.multiple(
+        arraycode, _ideal=lambda code: None, _closure=literal_closure
+    ):
         return verify(replace(code))
 
 
 def verify_spied(code):
-    """verify's report on a fresh copy of code, and whether the literal
-    closure ran."""
+    """verify's report on a fresh copy of code, and whether it listed the
+    rotations of the code's arrays."""
     with mock.patch.object(
-        arraycode, "_literal_closure", wraps=_literal_closure
-    ) as literal:
-        return verify(replace(code)), literal.called
+        arraycode, "_positioned", wraps=arraycode._positioned
+    ) as positioned:
+        return verify(replace(code)), positioned.called
+
+
+def assert_rotations_iff_needed(code):
+    """verify's report on a fresh copy of code, after checking that it
+    lists the rotations of a PRA/PRAC exactly when its windows do not
+    cover and it is not one array on a coprime torus."""
+    rep, listed = verify_spied(code)
+    one_coprime = len(code.arrays) == 1 and gcd(code.r, code.t) == 1
+    linear = code.kind in ("PRA", "PRAC")
+    assert listed is (linear and not rep.coverage_ok and not one_coprime)
+    return rep
 
 
 def window_coverage_oracle(code):
@@ -771,8 +829,8 @@ def window_coverage_oracle(code):
 
 
 def _ideal_cases():
-    """(name, code, whether the ideal path verifies it) for codes that
-    reach each of its steps."""
+    """(name, code, whether it verifies) for codes that reach each step
+    of verify's algebra."""
     P = Gf2Poly.parse
     quartic = generate_cycles(P("x^4+x^3+x^2+x+1")).members[0]
     return [
@@ -834,8 +892,8 @@ IDEAL_CASES = _ideal_cases()
     ids=[case[0] for case in IDEAL_CASES],
 )
 def test_ideal_verdict_matches_the_literal_oracles(code, holds):
-    rep, literal = verify_spied(code)
-    assert literal is not holds
+    rep = assert_rotations_iff_needed(code)
+    assert rep.ok is holds
     assert rep == verify(code) == literal_report(code)
     assert rep.closure_ok is closure_oracle(code) is pairwise_closure(code)
     assert rep.coverage_ok is window_coverage_oracle(code)
@@ -847,32 +905,23 @@ def test_ideal_verdict_matches_the_literal_oracles(code, holds):
 
 def test_a_member_outside_the_first_ideal_fails_the_degree_test():
     # g is the gcd over every member, so a second member outside the
-    # ideal of the first lowers deg g, on a coprime torus whose count
-    # holds
+    # ideal of the first lowers deg g below N - n*m, on a coprime torus
+    # whose count holds
     code = _perturb(PRAC37_CODE, "flip", 1, 1, 2)
     assert verify(code).counting_ok and gcd(code.r, code.t) == 1
-    assert _ideal(code) is None
-    assert _ideal(PRAC37_CODE) is not None
-
-
-def assert_ideal_path_iff_verified(code):
-    """verify's report on a fresh copy of code, after checking that the
-    literal closure runs on exactly the codes that are not on a coprime
-    torus or do not verify."""
-    rep, literal = verify_spied(code)
-    coprime = gcd(code.r, code.t) == 1
-    passing = rep.counting_ok and rep.closure_ok and rep.coverage_ok
-    assert literal is not (coprime and passing)
-    return rep
+    g, _ = _ideal(code)
+    assert g.bit_length() - 1 < code.r * code.t - code.n * code.m
+    g, _ = _ideal(PRAC37_CODE)
+    assert g.bit_length() - 1 == 3 * 7 - 2 * 3
 
 
 def test_folds_to_degree_10_take_the_ideal_path():
-    # every prac fold and every verified product fold takes the ideal
-    # path, and gets the literal report
+    # every prac fold and every verified product fold is decided without
+    # its rotations, and gets the literal report
     assert len(PRAC_FOLDS) > 600
     verified = 0
     for code in chain(PRAC_FOLDS, PRODUCT_FOLDS):
-        rep = assert_ideal_path_iff_verified(code)
+        rep = assert_rotations_iff_needed(code)
         assert rep == literal_report(code)
         verified += rep.ok
     # all but the quartics' (4,2) windows on 3 x 5 and 15 x 1 and the
@@ -892,9 +941,9 @@ def test_perturbed_folds_match_the_literal_path(data):
     code = _perturb(code, how, k, i, j)
     if not code.arrays:
         return
-    # the ideal path runs on exactly the perturbed codes that still
-    # verify: a rotated member, or a twin of the only member
-    rep = assert_ideal_path_iff_verified(code)
+    # the rotations are listed for exactly the perturbed codes whose
+    # windows do not cover, unless one array is left
+    rep = assert_rotations_iff_needed(code)
     assert rep == literal_report(code)
 
 
@@ -924,10 +973,195 @@ def test_equal_exponent_product_folds_match_the_literal_path():
     verified = 0
     for case in cases:
         code = experiment_product_fold(*case).produced
-        rep = assert_ideal_path_iff_verified(code)
+        rep = assert_rotations_iff_needed(code)
         assert rep == literal_report(code)
         verified += rep.ok
     assert (len(cases), verified) == (144 + 40, 44)
+
+
+def _span_basis(words):
+    """The reduced echelon basis of the span of the packed words, lowest
+    leading bit first: one tuple per space."""
+    basis = {}
+    for v in words:
+        while v:
+            top = v.bit_length()
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    tops = sorted(basis)
+    for i, low in enumerate(tops):
+        for high in tops[i + 1 :]:
+            if basis[high] >> (low - 1) & 1:
+                basis[high] ^= basis[low]
+    return tuple(basis[top] for top in tops)
+
+
+def _submodules(r, t, generators, max_dim):
+    """The distinct spans of the rotations of each generator (packed r x
+    t arrays), each as its reduced basis, of dimension 1 to max_dim."""
+    bases = {
+        _span_basis(_packed_shifts(CyclicArray._wrap(v, r, t)))
+        for v in generators
+    }
+    return [basis for basis in bases if 0 < len(basis) <= max_dim]
+
+
+def _orbit_code(basis, r, t, n, m):
+    """The code of one array per rotation orbit of the nonzero words the
+    basis spans, and whether every orbit has all r*t rotations."""
+    seen, arrays, v = set(), [], 0
+    for i in range(1, 1 << len(basis)):
+        v ^= basis[(i & -i).bit_length() - 1]
+        if v not in seen:
+            a = CyclicArray._wrap(v, r, t)
+            orbit = set(_packed_shifts(a))
+            seen |= orbit
+            arrays.append((a, len(orbit) == r * t))
+    kind = "PRA" if len(arrays) == 1 else "PRAC"
+    code = ArrayCode(kind, r, t, n, m, [a for a, _ in arrays])
+    return code, all(full for _, full in arrays)
+
+
+@pytest.mark.parametrize(
+    "r, t, sampled",
+    [
+        (2, 2, False), (2, 4, False), (4, 2, False), (3, 3, False),
+        (2, 6, False), (4, 4, True), (3, 6, True), (6, 3, True),
+    ],
+)
+def test_no_distinct_code_is_closed_on_a_torus_that_is_not_coprime(
+    r, t, sampled
+):
+    """Every cyclic submodule V != {0} of the arrays of a torus that is
+    not coprime has a nonzero word that a rotation other than the
+    identity fixes, so the code of its rotation orbits is not distinct,
+    and no such code is closed. Exhaustive over the generators of the
+    small tori; on the others, random arrays times a few random binomials
+    1 + rotation, spans of dimension up to 12."""
+    if sampled:
+        rng = random.Random(r * t)
+        generators = []
+        for _ in range(400):
+            a = random_array(rng, r, t)
+            for _ in range(rng.randrange(1, 5)):
+                b = shift2d(a, rng.randrange(r), rng.randrange(t))
+                a = add2d(a, b)
+            generators.append(a.packed())
+    else:
+        generators = range(1, 1 << (r * t))
+    bases = _submodules(r, t, generators, 12)
+    assert len(bases) >= 5
+    for basis in bases:
+        code, distinct = _orbit_code(basis, r, t, 1, 1)
+        assert not distinct
+        rep = verify(code)
+        assert rep.closure_ok is False
+        assert rep == literal_report(code)
+    # the empty code spans {0}, which no rotation moves: it is closed
+    empty = ArrayCode("PRAC", r, t, 1, 1, ())
+    assert verify(empty).closure_ok is True
+    assert verify(empty) == literal_report(empty)
+
+
+def test_distinct_words_of_a_power_of_two_on_a_3x3_torus_are_not_closed():
+    """Seven arrays of 3 x 3 from seven full rotation orbits: 63 distinct
+    words, so |P| + 1 = 64 is a power of two, yet on a torus that is not
+    coprime they span more than 64 words."""
+    arrays, orbits = [], set()
+    for v in range(1, 1 << 9):
+        a = CyclicArray._wrap(v, 3, 3)
+        rotations = frozenset(_packed_shifts(a))
+        if len(rotations) == 9 and rotations not in orbits:
+            orbits.add(rotations)
+            arrays.append(a)
+        if len(arrays) == 7:
+            break
+    code = ArrayCode("PRAC", 3, 3, 1, 1, arrays)
+    rep = verify(code)
+    assert rep.closure_ok is False is pairwise_closure(code)
+    assert rep.notes[-1] == (
+        "positioned arrays span at least 128 words, more than "
+        "|P| + 1 = 64: not closed under shift-and-add"
+    )
+    assert rep == literal_report(code)
+
+
+def _fold_bits(seq, r, t):
+    """The packed coprime r x t fold of the rt-bit sequence seq."""
+    return sum(((seq >> p) & 1) << (p % r * t + p % t) for p in range(r * t))
+
+
+def _ideal_generators(size):
+    """The divisors g of z^size - 1, odd size, as masks: every product of
+    a set of its distinct irreducible factors, which are the
+    irreducibles whose exponent divides size."""
+    # an irreducible of exponent e has degree the order of 2 modulo e
+    degrees = {
+        next(d for d in range(1, e + 1) if pow(2, d, e) == 1 % e)
+        for e in range(1, size + 1)
+        if size % e == 0
+    }
+    factors = [
+        f
+        for d in sorted(degrees)
+        for f in enumerate_irreducible(d)
+        if f.mask & 1 and size % exponent(f) == 0
+    ]
+    assert sum(f.degree for f in factors) == size
+    gens = []
+    for k in range(len(factors) + 1):
+        for chosen in combinations(factors, k):
+            gens.append(reduce(mul, chosen, Gf2Poly(1)).mask)
+    return gens
+
+
+# coprime tori, each with the number of its ideals of dimension 1 to 10
+# whose nonzero words all have full period, the closed codes
+_COPRIME_TORI = {
+    (1, 7): 3, (7, 1): 3, (2, 3): 0, (3, 2): 0, (2, 5): 0, (5, 2): 0,
+    (1, 9): 1, (3, 4): 0, (4, 3): 0, (1, 15): 3, (3, 5): 3, (5, 3): 3,
+    (1, 21): 2, (3, 7): 2, (7, 3): 2, (1, 31): 21,
+}
+
+
+@pytest.mark.parametrize("r, t", list(_COPRIME_TORI))
+def test_codes_from_submodules_of_a_coprime_torus_match_the_literal_path(
+    r, t
+):
+    """Every submodule of dimension d <= 10 of a coprime torus (an ideal
+    of GF(2)[z]/(z^N - 1)): the code of its rotation orbits, closed
+    exactly when every orbit is full, with that code less its last
+    array, with a rotation of its first array added and with one cell of
+    its first array flipped, each with n*m = d where the window fits.
+    Every array of the torus generates for N <= 12, and the fold of
+    every divisor of z^N - 1 for odd N above."""
+    size = r * t
+    if size <= 12:
+        generators = range(1, 1 << size)
+    else:
+        generators = [_fold_bits(g, r, t) for g in _ideal_generators(size)]
+    closed = 0
+    for basis in _submodules(r, t, generators, 10):
+        d = len(basis)
+        n, m = (1, d) if t > d else (d, 1) if r > d else (1, 1)
+        code, distinct = _orbit_code(basis, r, t, n, m)
+        first, rest = code.arrays[0], code.arrays[1:]
+        flipped = CyclicArray._wrap(first.packed() ^ 1, r, t)
+        for arrays in (
+            code.arrays,
+            code.arrays[:-1],
+            code.arrays + (shift2d(first, 1, 1),),
+            (flipped,) + rest,
+        ):
+            variant = replace(code, arrays=arrays)
+            rep = assert_rotations_iff_needed(variant)
+            assert rep == literal_report(variant)
+            assert rep.closure_ok is pairwise_closure(variant)
+        assert verify(code).closure_ok is distinct
+        closed += distinct
+    assert closed == _COPRIME_TORI[r, t]
 
 
 def window_keys(arrays, r, t, n, m):
@@ -1000,27 +1234,27 @@ def test_window_keys_across_batches_match_the_oracle(monkeypatch, batch, data):
 
 
 def test_min_distance_reuses_the_closure_verdict_of_verify(monkeypatch):
-    # the report is kept on the code: one algebraic or literal closure
-    # serves verify and min_distance
+    # the report is kept on the code: one ideal and one closure serve
+    # verify and min_distance
     calls = []
 
     def counted(verdict):
-        def call(code):
+        def call(code, *args):
             calls.append(code)
-            return verdict(code)
+            return verdict(code, *args)
 
         return call
 
-    for name in ("_ideal", "_literal_closure"):
+    for name in ("_ideal", "_closure"):
         monkeypatch.setattr(arraycode, name, counted(getattr(arraycode, name)))
     code = ArrayCode("PRAC", 3, 7, 2, 3, PRAC37)
     assert verify(code).ok
     assert min_distance(code) == 8
-    assert len(calls) == 1
+    assert len(calls) == 2
     # a fresh, equal code is checked afresh and gets the same answers
     again = ArrayCode("PRAC", 3, 7, 2, 3, PRAC37)
     assert min_distance(again) == 8
-    assert len(calls) == 2
+    assert len(calls) == 4
     assert again == code
 
 
@@ -1030,7 +1264,8 @@ def test_a_failing_ideal_code_reads_its_windows_twice():
     # repeat; one flag pass finds that and one walk names the repeats
     f = enumerate_irreducible(12, 35)[0]
     code = _perturb(construct_prac_fold(f, 1, 12).produced, "twin", 3, 0, 5)
-    assert len(code.arrays) == 117 and _ideal(code) is not None
+    g, _ = _ideal(code)
+    assert len(code.arrays) == 117 and g.bit_length() - 1 == 35 - 12
     with mock.patch.object(
         arraycode, "_window_keys", wraps=arraycode._window_keys
     ) as keys:
@@ -1039,6 +1274,26 @@ def test_a_failing_ideal_code_reads_its_windows_twice():
     assert not rep.coverage_ok and not rep.closure_ok
     assert " repeats " in rep.notes[0]
     assert keys.call_count == 2
+
+
+def test_a_failing_one_array_code_lists_no_rotations():
+    """The degree-14 m-sequence folded 127 x 129 with one cell flipped,
+    a PRA with 7 x 2 windows: its distinct rotations are counted by the
+    period of its sequence, so verify holds none of its 16,383 rotations
+    of 16,383 cells (33 MB) and gets the literal report in a few MB."""
+    f = Gf2Poly.parse("x^14+x^5+x^3+x+1")
+    a = fold(m_sequence(f), 127, 129)
+    flipped = CyclicArray._wrap(a.packed() ^ (1 << 5000), 127, 129)
+    code = ArrayCode("PRA", 127, 129, 7, 2, (flipped,))
+    tracemalloc.start()
+    try:
+        rep = assert_rotations_iff_needed(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
+    assert not rep.coverage_ok and rep.closure_ok is False
+    assert rep == literal_report(code)
 
 
 @pytest.mark.parametrize("n, m", [(5, 8), (10**9, 10**9), (1, 33)])

@@ -228,6 +228,33 @@ def test_verify_malformed_documents(tmp_path, capsys):
     assert "not 3x5" in capsys.readouterr().err
 
 
+def test_document_arrays_are_packed_from_one_digit_check(monkeypatch):
+    """Each array of a document is checked once, as its joined digits,
+    and packed without CyclicArray's own per-row checks; the errors keep
+    their wording and order."""
+    from foldcodes.arraycode import CyclicArray
+    from foldcodes.cli import _CliError, _doc_arrays
+
+    def refuse(self, rows):
+        raise AssertionError("CyclicArray.__init__ called")
+
+    monkeypatch.setattr(CyclicArray, "__init__", refuse)
+    rows = [["0000000", "1001011", "1001011"], ["0111001", "1110010", "1001011"]]
+    r, t, arrays = _doc_arrays({"r": 3, "t": 7, "arrays": rows})
+    assert (r, t) == (3, 7)
+    assert [a.row_strings() for a in arrays] == rows
+    bad_cells = ["0111001", "1110012", "1001011"]
+    bad_shape = ["0111001", "111001", "1001011"]
+    for arrays, message in (
+        ([rows[0], bad_cells, bad_shape], "array 1 has non-binary cells"),
+        ([rows[0], bad_shape, bad_cells], "array 1 is not 3x7"),
+        ([["01 1001"] * 3], "array 0 has non-binary cells"),
+    ):
+        with pytest.raises(_CliError) as exc:
+            _doc_arrays({"r": 3, "t": 7, "arrays": arrays})
+        assert str(exc.value) == message
+
+
 _ONE_BY_ONE = {"kind": "PRA", "r": 1, "t": 1, "n": 1, "m": 1, "meta": {}}
 
 

@@ -5,8 +5,10 @@ census scripts (orbit counts under 2D rotation, brute verification),
 not copied from the constructions themselves.
 """
 
+import contextlib
 import dataclasses
 from itertools import product
+from unittest import mock
 
 import pytest
 
@@ -608,6 +610,39 @@ def test_prac_fold_rejections():
     # n*m equals the degree, so a negative n comes with a negative m
     with pytest.raises(PreconditionError, match="n = -2 must be positive"):
         construct_prac_fold(Gf2Poly.parse("x^4+x+1"), -2, -2)
+
+
+def test_prac_fold_tests_irreducibility_once_itself():
+    """construct_prac_fold reads the order of f off the prime descent
+    after its own irreducibility test, so the only other test is the
+    register's primitivity check; f = x keeps exponent's message."""
+    import foldcodes.constructions as constructions
+    import foldcodes.folding as folding
+    import foldcodes.gf2poly as gf2poly
+    import foldcodes.lfsr as lfsr
+
+    calls, real = [], gf2poly.is_irreducible
+
+    def spied(f):
+        calls.append(f)
+        return real(f)
+
+    with contextlib.ExitStack() as stack:
+        for module in (constructions, folding, gf2poly, lfsr):
+            stack.enter_context(
+                mock.patch.object(module, "is_irreducible", spied)
+            )
+        stack.enter_context(
+            mock.patch.object(constructions, "exponent", side_effect=exponent)
+        )
+        for f, n, m in ((SIII_POLY, 2, 3), (Gf2Poly.parse("x^4+x^3+1"), 2, 2)):
+            calls.clear()
+            assert construct_prac_fold(f, n, m).verified
+            assert calls == [f, f]
+        assert not constructions.exponent.called
+        with pytest.raises(ValueError, match="constant term of f is zero"):
+            construct_prac_fold(Gf2Poly.parse("x"), 1, 1)
+        assert constructions.exponent.call_count == 1
 
 
 def test_prac_fold_all_small_cases_verify():
