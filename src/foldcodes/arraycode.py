@@ -27,9 +27,10 @@ rotation of every array). P with zero is closed exactly when it is a
 GF(2) space (MacWilliams & Sloane, Proc. IEEE 1976). On a coprime r x t
 torus the fold is the CRT isomorphism onto GF(2)[z]/(z^N - 1), N = rt
 (Imai, Inform. Control 1977), so P lies in the ideal of
-g = gcd(z^N - 1, s_1, ..., s_k) over the sequences s_i the arrays
-unfold to, and P is closed exactly when it is distinct and fills that
-ideal: |P| + 1 = 2^(N - deg g). On any other torus no nonempty distinct
+g = gcd(z^N - 1, s_1, ..., s_k) over the sequences s_i that _gather
+reads off the arrays (_scatter, beside it, writes them back), and P is
+closed exactly when it is distinct and fills that ideal:
+|P| + 1 = 2^(N - deg g). On any other torus no nonempty distinct
 P is closed. A one-array code whose count holds and whose ideal has
 dimension n*m covers exactly when the window at anchor (0,0), read on
 the basis g*z^i, has rank n*m and s_1 has full period, so it gets no
@@ -240,6 +241,12 @@ def _turn(value: int, k: int, n: int) -> int:
     return ((value >> k) | (value << (n - k))) & ((1 << n) - 1)
 
 
+def _repeat(value: int, length: int, size: int) -> int:
+    """The length-bit value repeated out to size bits; length divides size."""
+    # v * (2^L - 1) / (2^l - 1) repeats the l bits of v out to L bits
+    return value * (((1 << size) - 1) // ((1 << length) - 1))
+
+
 def _minimal_period(value: int, n: int) -> int:
     """The minimal period of the n-bit cyclic sequence value (bit p
     holding s_p), the packed form of its 1 x n array."""
@@ -253,24 +260,47 @@ def _minimal_period(value: int, n: int) -> int:
     return d
 
 
-def _gather(a: CyclicArray) -> int:
-    """The rt-bit sequence whose diagonal fold is the coprime r x t array
-    a: bit p holds cell (p mod r, p mod t).
+# The diagonal fold of an rt-bit sequence onto a coprime r x t torus puts
+# position p in cell (p mod r, p mod t). A half turn of both sides
+# commutes with it (rt = 0 mod r and mod t), so it also takes digit p of
+# the sequence's format() to digit i*t + j of the array's. Row i, turned
+# left by i, holds the positions i + kr at column kr mod t, so the chunk
+# of r digits at kr is that column of the turned rows. _gather reads the
+# columns off the rows and _scatter writes them back; each drops a digit
+# text once it is read. On one row or one column, position p is cell p.
 
-    On one row or one column, cell p holds position p, as in fold.
-    Otherwise row i turned left by i holds the positions p = i + kr in
-    the same column order kr mod t for every row, so the turned rows,
-    read one column at a time in the order of q*r mod t, give the
-    positions in order.
-    """
+
+def _gather(a: CyclicArray) -> int:
+    """The rt-bit sequence whose diagonal fold is the r x t array a."""
     r, t = a.rows, a.cols
     if r == 1 or t == 1:
         return a._value
-    turned = "".join(
-        row[i % t :] + row[: i % t] for i, row in enumerate(a.row_strings())
-    )
-    text = "".join(turned[q * r % t :: t] for q in range(t))
-    return int(text[::-1], 2)
+    size = r * t
+    digits = format(a._value, f"0{size}b")
+    turns = ((k, k + i % t) for i, k in enumerate(range(0, size, t)))
+    rows = [digits[j : k + t] + digits[k:j] for k, j in turns]
+    del digits
+    turned = "".join(rows)
+    del rows
+    columns = [turned[k % t :: t] for k in range(0, size, r)]
+    del turned
+    return int("".join(columns), 2)
+
+
+def _scatter(value: int, period: int, r: int, t: int) -> int:
+    """The packed r x t fold of value, its period bits repeated to rt."""
+    size = r * t
+    if r == 1 or t == 1:
+        return _repeat(value, period, size)
+    digits = format(value, f"0{period}b") * (size // period)
+    e = pow(r, -1, t) * r  # column c holds the chunk at c*e mod rt
+    columns = [digits[k : k + r] for k in (c * e % size for c in range(t))]
+    del digits
+    grid = "".join(columns * 2)  # so each row turned back is one slice
+    del columns
+    rows = [grid[-i % t * r + i :: r][:t] for i in range(r)]
+    del grid
+    return int("".join(rows), 2)
 
 
 def _window_cells(r: int, t: int, n: int, m: int):

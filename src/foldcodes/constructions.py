@@ -18,6 +18,8 @@ from operator import xor
 from .arraycode import (
     ArrayCode,
     CyclicArray,
+    _repeat,
+    _turn,
     canonical2d,
     min_distance,
     shift2d,
@@ -238,14 +240,13 @@ def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, tail):
             "the cap of 2^24 cells"
         )
     plain = 1 << n  # the ids of plain columns, i*r + j
-    full = (1 << (r * t)) - 1
-    ones = full // ((1 << t) - 1)  # bit u*t for every row u
+    ones = _repeat(1, t, r * t)  # bit u*t for every row u
     turned = {}
     for i, cycle in enumerate(pf.cycles):
         # bit u of the cycle moves to bit u*t, t - 1 zero digits apart
         base = int(("0" * (t - 1)).join(format(cycle.packed(), f"0{r}b")), 2)
         for j in range(r):
-            turned[i, j] = ((base >> (j * t)) | (base << ((r - j) * t))) & full
+            turned[i, j] = _turn(base, j * t, r * t)
     id_of, ids = {}, {}
     for bar in (0, 1):
         for (i, j), col in turned.items():
@@ -407,11 +408,8 @@ def construct_db_pmc_direct(
     else:
         selector = debruijn_sequence(m)
 
-    every_row = ((1 << (r * t)) - 1) // ((1 << t) - 1)  # bit u*t per row u
-    arrays = []
-    for q in range(t):
-        spread = shift(selector, q).packed() * every_row
-        arrays.extend(CyclicArray._wrap(b ^ spread, r, t) for b in bases)
+    flips = [_repeat(shift(selector, q).packed(), t, r * t) for q in range(t)]
+    arrays = [CyclicArray._wrap(b ^ x, r, t) for x in flips for b in bases]
     claimed = t * len(code.arrays)
     out = ArrayCode("DBAC", r, t, n + 1, code.m, tuple(arrays))
     rep = verify(out)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import warnings
 from math import gcd
 
-from .arraycode import CyclicArray, _gather
+from .arraycode import CyclicArray, _gather, _scatter
 from .gf2poly import Gf2Poly, _independent, is_irreducible, mul, pow_x_mod
-from .lfsr import CyclicSequence, _repeat
+from .lfsr import CyclicSequence
 
 
 # Largest r*t that fold builds.  The longest register cycle has 2^24 - 1
@@ -28,16 +28,6 @@ def _check_coprime(r: int, t: int) -> None:
         raise ValueError(f"dimensions {r} and {t} are not coprime")
 
 
-# Row i of the folded array holds the positions p = i + kr, k < t, in
-# cell (i, (i + kr) mod t).  Turned left by i, that row is the gather
-# row'[kr mod t] = seq[i + kr], the same column order for every row.
-# Read as t chunks of r positions, chunk k of the sequence is column k
-# of the gathers, so the gather is one reorder of whole chunks.  Taken
-# last column first, each row comes out with column 0 least significant;
-# over two copies of the gathers, each row turned back is one strided
-# slice, and the rows, last to first, are the digits of the packed value.
-
-
 def fold(s: CyclicSequence, r: int, t: int) -> CyclicArray:
     """Write s down the diagonals of an r x t array of at most 2^24 cells.
 
@@ -45,22 +35,12 @@ def fold(s: CyclicSequence, r: int, t: int) -> CyclicArray:
     periodically.
     """
     _check_coprime(r, t)
-    size = r * t
-    if size > _MAX_CELLS:
+    if r * t > _MAX_CELLS:
         raise ValueError(f"{r}x{t} array exceeds the cap of 2^24 cells")
     L = len(s)
-    if size % L != 0:
+    if r * t % L != 0:
         raise ValueError(f"period {L} does not divide {r}x{t}")
-    if r == 1 or t == 1:
-        # position p lands in cell p: the array is the sequence repeated
-        return CyclicArray._wrap(_repeat(s.packed(), L, size), r, t)
-    text = s.digits() * (size // L)
-    rinv = pow(r, -1, t)
-    chunks = [j * rinv % t * r for j in range(t - 1, -1, -1)]
-    gathers = "".join([text[k : k + r] for k in chunks]) * 2
-    starts = [i % t * r + i for i in range(r - 1, -1, -1)]
-    digits = "".join([gathers[k : k + size : r] for k in starts])
-    return CyclicArray._wrap(int(digits, 2), r, t)
+    return CyclicArray._wrap(_scatter(s.packed(), L, r, t), r, t)
 
 
 def unfold(a: CyclicArray) -> CyclicSequence:

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, groupby
 
-from .arraycode import _flags_cover, _minimal_period, _turn, _window_keys
+from .arraycode import (
+    _flags_cover, _minimal_period, _repeat, _turn, _window_keys
+)
 from .gf2poly import Gf2Poly, _irreducible_order, is_irreducible, is_primitive
 
 __all__ = [
@@ -33,32 +35,21 @@ __all__ = [
 ]
 
 
-def _repeat(value: int, length: int, size: int) -> int:
-    """The length-bit value repeated out to size bits; length divides size."""
-    # v * (2^L - 1) / (2^l - 1) repeats the l bits of v out to L bits
-    return value * (((1 << size) - 1) // ((1 << length) - 1))
-
-
 def _least_rotation(s: str) -> int:
-    # Booth's algorithm: index of the lexicographically least rotation.
-    d = s + s
-    n = len(s)
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = d[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != d[k + i + 1]:
-            if sj < d[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != d[k + i + 1]:
-            if sj < d[k]:
-                k = j
-            f[j - k] = -1
+    """The first start of the least rotation of s. i is the best start
+    so far and j the next candidate; where they first differ, after k
+    equal digits, the worse start and the k after it are beaten."""
+    d, n = s + s, len(s)
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = d[i + k], d[j + k]
+        if a == b:
+            k += 1
+        elif a > b:
+            i, j, k = j, max(j, i + k) + 1, 0
         else:
-            f[j - k] = i + 1
-    return k
+            j, k = j + k + 1, 0
+    return i
 
 
 _BITS = frozenset((0, 1))

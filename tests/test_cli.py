@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import io
 import json
 import os
 import stat
@@ -210,6 +211,10 @@ def test_verify_malformed_documents(tmp_path, capsys):
     assert run(["verify", "--input", str(bad)]) == 2
     missing = tmp_path / "nope.json"
     assert run(["verify", "--input", str(missing)]) == 2
+    capsys.readouterr()
+    bad.write_text("[1, 2]")
+    assert run(["verify", "--input", str(bad)]) == 2
+    _one_line_error(capsys, "malformed document: expected a JSON object")
     wrong = tmp_path / "wrong.json"
     wrong.write_text(
         json.dumps(
@@ -983,6 +988,48 @@ def test_failed_out_write_leaves_the_target(tmp_path, capsys, monkeypatch):
     _one_line_error(capsys, "No space left on device")
     assert target.read_text() == "old contents\n"
     assert os.listdir(tmp_path) == ["doc.json"]
+
+
+def test_out_into_a_missing_directory_names_the_path_asked_for(
+    tmp_path, capsys
+):
+    target = tmp_path / "missing" / "doc.txt"
+    argv = ["construct", "pf", "--n", "3", "--k", "2", "--out", str(target)]
+    assert run(argv) == 2
+    name = repr(str(target))
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: {name}\n"
+    )
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_below_a_regular_file_is_one_error_line(tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("old contents\n")
+    target = plain / "doc.txt"
+    argv = ["construct", "pf", "--n", "3", "--k", "2", "--out", str(target)]
+    assert run(argv) == 2
+    _one_line_error(capsys, "Not a directory", str(target))
+    assert plain.read_text() == "old contents\n"
+
+
+def test_verify_reads_its_document_from_stdin(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "pra.json"
+    argv = ["construct", "prac-fold", "--poly", "x^4+x^3+1", "--n", "2",
+            "--m", "2", "--format", "json", "--out", str(doc)]
+    assert run(argv) == 0
+    assert run(["verify", "--input", str(doc)]) == 0
+    from_file = capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc.read_text()))
+    assert run(["verify", "--input", "-"]) == 0
+    assert capsys.readouterr() == from_file
+    assert "verdict: verified" in from_file.out
+
+
+def test_pf_search_over_its_node_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "_NODE_BUDGET", 50)
+    assert run(["construct", "pf", "--n", "5", "--k", "3"]) == 2
+    _one_line_error(capsys, "perfect factor search exceeded 50 nodes")
 
 
 def test_unknown_subcommand_is_usage_error():

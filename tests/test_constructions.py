@@ -23,6 +23,7 @@ from foldcodes.constructions import (
     ConstructionReport,
     NonexistenceError,
     PreconditionError,
+    SearchExhausted,
     construct_db_pmc_direct,
     construct_pmc_odd,
     construct_pmc_sd,
@@ -108,6 +109,16 @@ def test_pf_parity():
         assert verify_perfect_factor(pf)
         want = 0 if par == "even" else 1
         assert all(sum(c.bits) % 2 == want for c in pf.cycles)
+
+
+def test_pf_search_over_its_node_budget_is_exhausted(monkeypatch):
+    import foldcodes.constructions as cons
+
+    monkeypatch.setattr(cons, "_NODE_BUDGET", 50)
+    with pytest.raises(
+        SearchExhausted, match="perfect factor search exceeded 50 nodes"
+    ):
+        perfect_factor(5, 3)
 
 
 def test_pf_53_is_all_even():
@@ -226,6 +237,8 @@ def test_pmc_odd_rejections():
     broken = PerfectFactor(2, 2, (CyclicSequence("0101"),), (0,))
     with pytest.raises(PreconditionError):
         construct_pmc_odd(broken, 2)
+    with pytest.raises(ValueError, match="m must be positive"):
+        construct_pmc_odd(perfect_factor(3, 2), 0)
 
 
 # ---------------------------------------------------------------------

@@ -266,6 +266,8 @@ def test_positions_independent_examples():
 def test_positions_independent_errors_and_overfull():
     with pytest.raises(ValueError):
         positions_independent(P("x^2+1"), {0, 1})
+    with pytest.raises(ValueError, match="positions must be nonnegative"):
+        positions_independent(P("x^3+x+1"), {-1, 0})
     with pytest.warns(UserWarning):
         assert positions_independent(P("x^2+x+1"), {0, 1, 2}) is False
 
@@ -288,6 +290,8 @@ def test_set_polynomial_examples():
     assert divides(P("x^2+x+1"), g)
     with pytest.raises(ValueError):
         set_polynomial({0, 1, 2, 3, 4})
+    with pytest.raises(ValueError, match="positions must be nonnegative"):
+        set_polynomial({-1, 2})
 
 
 def test_set_polynomial_degree():

@@ -127,6 +127,11 @@ def test_degree():
     assert P("x^6+x^5+x^4+x^2+1").degree == 6
 
 
+def test_a_negative_mask_is_refused():
+    with pytest.raises(ValueError, match="mask must be a nonnegative integer"):
+        Gf2Poly(-1)
+
+
 def test_equality_is_coefficientwise():
     assert P("x+1") == P("0x3")
     assert P("x+1") != P("x")

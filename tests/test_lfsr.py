@@ -5,6 +5,7 @@ checker for register membership, and exhaustive window counting.
 """
 
 import random
+import tracemalloc
 from itertools import chain, product
 
 import pytest
@@ -27,6 +28,7 @@ from foldcodes.gf2poly import (
 )
 from foldcodes.lfsr import (
     ZERO_SEQUENCE,
+    _least_rotation,
     _minimal_period,
     CyclicSequence,
     PerfectFactor,
@@ -109,6 +111,34 @@ def test_canonical_matches_min_rotation_oracle():
         bits = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 24)))
         s = CyclicSequence(bits)
         assert s.canonical().bits == least_rotation_oracle(s.bits)
+
+
+def first_least_rotation_oracle(s: str) -> int:
+    # the first index of min over the rotations of s
+    n, d = len(s), s + s
+    return min(range(n), key=lambda i: d[i : i + n])
+
+
+def test_least_rotation_on_every_string_to_length_12():
+    for n in range(1, 13):
+        for value in range(1 << n):
+            s = format(value, f"0{n}b")
+            assert _least_rotation(s) == first_least_rotation_oracle(s), s
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.text("01", min_size=1, max_size=1 << 12),
+    st.integers(0, (1 << 4096) - 1),
+    st.integers(1, 64),
+)
+def test_least_rotation_matches_the_oracle_on_long_strings(
+    text, value, copies
+):
+    # a repeated text has several starts of its least rotation
+    digits = format(value, "04096b")
+    for s in (text, (text * copies)[: 1 << 12], digits, digits[:copies] * 64):
+        assert _least_rotation(s) == first_least_rotation_oracle(s)
 
 
 def test_str_form():
@@ -399,6 +429,12 @@ def test_debruijn_sequence_windows():
         assert len(windows) == 1 << n
 
 
+def test_debruijn_sequence_refuses_a_span_out_of_range():
+    for n in (0, 21):
+        with pytest.raises(ValueError, match="span must be between 1 and 20"):
+            debruijn_sequence(n)
+
+
 def test_debruijn_from_primitive():
     s = debruijn_from_primitive(P("x^4+x^3+1"))
     assert len(s) == 16
@@ -416,6 +452,11 @@ def test_perfect_factor_verifier_on_handmade_instances():
         3, 2, (CyclicSequence("0001"), CyclicSequence("0111")), (0, 0)
     )
     assert verify_perfect_factor(two)
+    # the right number of cycles, one of the wrong length
+    long = PerfectFactor(
+        3, 2, (CyclicSequence("0001"), CyclicSequence("01111")), (0, 0)
+    )
+    assert not verify_perfect_factor(long)
 
 
 # ---------------------------------------------- fast paths, differential
@@ -443,9 +484,9 @@ def state_walk(f: Gf2Poly, start: int, seen: bytearray) -> list:
     return bits
 
 
-def cycles_by_booth_walk(f: Gf2Poly) -> list:
+def cycles_by_state_walk(f: Gf2Poly) -> list:
     # the state walk from every state, each cycle reduced to its minimal
-    # period and canonicalised by Booth's least rotation
+    # period and canonicalised by its least rotation
     seen = bytearray(1 << f.degree)
     return sorted(
         CyclicSequence(state_walk(f, start, seen)).canonical().bits
@@ -459,7 +500,7 @@ def test_generate_cycles_matches_booth_walk_to_degree_9():
     for mask in range(3, 1 << 10, 2):
         f = Gf2Poly(mask)
         fam = generate_cycles(f)
-        want = cycles_by_booth_walk(f)
+        want = cycles_by_state_walk(f)
         assert [s.bits for s in fam.members] == want, f
         assert all(s.canonical().bits == s.bits for s in fam.members)
         assert all(
@@ -509,8 +550,19 @@ def test_generate_cycles_at_the_degree_24_cap():
     taps = [i for i in range(1, 25) if (f.mask >> (24 - i)) & 1]
     for k in random.Random(24).sample(range(e), 1000):
         assert sum(bit(k - i) for i in taps) % 2 == bit(k), k
-    back = unfold(fold(s, 4097, 4095))
+    # fold and unfold each hold a few digit texts of 2^24 characters
+    tracemalloc.start()
+    try:
+        a = fold(s, 4097, 4095)
+        fold_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = unfold(a)
+        unfold_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (len(back), back.packed()) == (e, v)
+    assert fold_peak <= 70 << 20, fold_peak
+    assert unfold_peak <= 56 << 20, unfold_peak
 
 
 def rotations_oracle(bits: tuple) -> list:
