@@ -55,11 +55,10 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, combinations, islice
 from math import gcd
 
-from .gf2poly import _gcd, _independent, _prime_factors
+from .gf2poly import _independent, _mod, _prime_factors
 
 KINDS = ("PM", "SPM", "PRA", "DBAC", "SDBAC", "PRAC")
 _FULL_KINDS = frozenset(("PM", "DBAC"))
@@ -317,12 +316,26 @@ def _window_cells(r: int, t: int, n: int, m: int):
 def _ideal(code: ArrayCode):
     """(g, seqs) on a coprime r x t torus: the sequences seqs the arrays
     unfold to, and g = gcd(z^N - 1, s_1, ..., s_k), N = rt, the generator
-    of the ideal they span; None on any other torus."""
+    of the ideal they span; None on any other torus, and for no arrays,
+    which span {0}, so z^N - 1 is not formed.
+
+    No verdict reads a dimension N - deg g above L = max(n*m, bit length
+    of k*N), so Euclid stops once a divisor, a multiple of g, falls below
+    degree N - L: no quotient exceeds degree L, and g = 0, read as
+    dimension N + 1, stands for any dimension above L."""
     r, t = code.r, code.t
-    if gcd(r, t) != 1:
+    if gcd(r, t) != 1 or not code.arrays:
         return None
     seqs = [_gather(a) for a in code.arrays]
-    return reduce(_gcd, seqs, (1 << r * t) | 1), seqs
+    size = r * t
+    floor = size - max(code.n * code.m, (len(seqs) * size).bit_length())
+    g = (1 << size) | 1
+    for b in seqs:
+        while b:
+            if b.bit_length() <= floor:
+                return 0, seqs
+            g, b = b, _mod(g, b)
+    return g, seqs
 
 
 def _one_array_covers(code: ArrayCode, g: int, seqs: list) -> bool:
@@ -346,7 +359,7 @@ def _closure(code: ArrayCode, ideal, covered: bool):
     under shift-and-add exactly when P u {0} is a GF(2) space
     (MacWilliams & Sloane, Proc. IEEE 1976), which holds exactly when P
     is distinct and |P u {0}| = 2^d: d = N - deg g on a coprime torus,
-    with g from ideal (see _ideal), and d = 0 on any other.
+    with g from ideal (see _ideal), and d = 0 otherwise.
 
     - Coprime: each member of P is some z^a * s_i, so P u {0} lies in
       the ideal I = (g), and |I| = 2^(N - deg g). A closed P u {0} is a

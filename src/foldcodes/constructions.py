@@ -82,7 +82,8 @@ def perfect_factor(n: int, k: int, parity=None) -> PerfectFactor:
 
     Exists iff k <= n < 2^k. With parity "even" or "odd" every cycle
     must have that weight parity. n = k is served by a de Bruijn
-    sequence; other cases run a backtracking search (n <= 6).
+    sequence; other cases run a backtracking search (n <= 6) on one
+    table of used states, each cycle from the least unused state.
     """
     if k < 1 or n < 1:
         raise ValueError("parameters must be positive")
@@ -107,74 +108,46 @@ def perfect_factor(n: int, k: int, parity=None) -> PerfectFactor:
         raise ValueError(f"search path capped at n={_SEARCH_CAP}")
 
     length = 1 << k
-    total = 1 << n
     top = n - 1
     budget = [_NODE_BUDGET]
-    covered = [False] * total
-    cycles = []
+    used = bytearray(1 << n)
+    path = []
 
-    def close_ok(states):
-        # cycle closes iff the successor of the last state on the bit
-        # that re-creates the anchor window exists: successor must equal
-        # the anchor for one of the two outgoing edges
-        last = states[-1]
-        anchor = states[0]
-        for b in (0, 1):
-            if ((last >> 1) | (b << top)) == anchor:
-                return True
-        return False
-
-    def extend(states, in_cycle):
+    def extend(state):
+        # push state; true when the path, runs of `length` states, goes
+        # on to a whole factor, else state is popped again
         budget[0] -= 1
         if budget[0] < 0:
             raise SearchExhausted(
                 f"perfect factor search exceeded {_NODE_BUDGET} nodes"
             )
-        if len(states) == length:
-            if not close_ok(states):
-                return False
-            if parity is not None:
-                w = sum(s & 1 for s in states)
-                if (w % 2 == 0) != (parity == "even"):
-                    return False
-            for s in states:
-                covered[s] = True
-            cycles.append(tuple(states))
-            if cover():
-                return True
-            cycles.pop()
-            for s in states:
-                covered[s] = False
-            return False
-        last = states[-1]
-        for b in (0, 1):
-            nxt = ((last >> 1) | (b << top))
-            if covered[nxt] or nxt in in_cycle:
-                continue
-            states.append(nxt)
-            in_cycle.add(nxt)
-            if extend(states, in_cycle):
-                return True
-            states.pop()
-            in_cycle.remove(nxt)
-        return False
+        used[state] = 1
+        path.append(state)
+        if len(path) % length:
+            steps = (state >> 1 | b << top for b in (0, 1))
+            ok = any(extend(nxt) for nxt in steps if not used[nxt])
+        else:
+            # the run closes by an edge back to its first state
+            cycle = path[-length:]
+            ok = state >> 1 == cycle[0] & ~(1 << top)
+            if ok and parity is not None:
+                ok = sum(s & 1 for s in cycle) % 2 == (parity == "odd")
+            anchor = used.find(0)
+            ok = ok and (anchor < 0 or extend(anchor))
+        if not ok:
+            used[state] = 0
+            path.pop()
+        return ok
 
-    def cover():
-        try:
-            anchor = covered.index(False)
-        except ValueError:
-            return True
-        return extend([anchor], {anchor})
-
-    if not cover():
+    if not extend(0):
         detail = "" if parity is None else f" with all-{parity} cycles"
         raise NonexistenceError(
             f"exhaustive search: no perfect factor n={n}, k={k}{detail}"
         )
     members = sorted(
         (
-            CyclicSequence([s & 1 for s in states]).canonical()
-            for states in cycles
+            CyclicSequence([s & 1 for s in path[i : i + length]]).canonical()
+            for i in range(0, len(path), length)
         ),
         key=CyclicSequence.digits,
     )

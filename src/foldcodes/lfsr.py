@@ -213,7 +213,8 @@ def generate_cycles(f: Gf2Poly) -> SequenceFamily:
     The n-windows of one cycle are its states, all distinct, so the
     cycle length is the minimal period of its bits, and the rotation
     that starts at the least state is the least rotation.  Walking from
-    the least state not yet seen therefore yields each cycle canonical.
+    the least state not yet seen, which ``find`` returns, therefore
+    yields each cycle canonical.
     """
     n = f.degree
     if f.mask == 0 or n == 0:
@@ -228,10 +229,10 @@ def generate_cycles(f: Gf2Poly) -> SequenceFamily:
     # c_i multiplies a_{k-i}, which sits in bit i-1 of the state
     taps = int(format(f.mask & low, f"0{n}b")[::-1], 2)
     seen = bytearray(size)
+    seen[0] = 1
     cycles = []
-    for start in range(1, size):
-        if seen[start]:
-            continue
+    start = 1
+    while start > 0:
         state, bits = start, []
         while not seen[state]:
             seen[state] = 1
@@ -239,6 +240,7 @@ def generate_cycles(f: Gf2Poly) -> SequenceFamily:
             state = ((state << 1) & low) | ((state & taps).bit_count() & 1)
         value = int(bytearray(bits).translate(_TO_TEXT)[::-1], 2)
         cycles.append(CyclicSequence._known(value, len(bits), value))
+        start = seen.find(0, start)
     # the digits order the members as their bit tuples would
     cycles.sort(key=CyclicSequence.digits)
     lengths = {len(c) for c in cycles}

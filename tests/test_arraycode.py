@@ -325,6 +325,14 @@ def test_row_strings_match_per_cell_oracle(r, t, rng):
     assert CyclicArray(a.row_strings()) == a
 
 
+def test_an_empty_array_and_a_foreign_operand_are_refused():
+    with pytest.raises(
+        ValueError, match="array must have at least one row and column"
+    ):
+        CyclicArray.from_rowmasks([], 3)
+    assert (CyclicArray(["01"]) == 5) is False
+
+
 def test_equal_packed_values_of_different_shapes_differ():
     pairs = [
         (CyclicArray(["000"]), CyclicArray(["000", "000"])),
@@ -1294,6 +1302,61 @@ def test_a_failing_one_array_code_lists_no_rotations():
     assert peak < 10 << 20
     assert not rep.coverage_ok and rep.closure_ok is False
     assert rep == literal_report(code)
+
+
+def test_euclid_stops_once_no_verdict_reads_the_dimension(monkeypatch):
+    """The degree-20 m-sequence folded 1025 x 1023 with one cell flipped,
+    a PRA with 2 x 10 windows: no verdict reads an ideal dimension above
+    L = max(20, bit length of 1,048,575) = 20, so Euclid stops as soon
+    as a divisor falls below degree N - 20. No division then has a
+    quotient above degree 20, and the report is the full gcd's."""
+    a = fold(m_sequence(Gf2Poly.parse("x^20+x^3+1")), 1025, 1023)
+    flipped = CyclicArray._wrap(a.packed() ^ 1, 1025, 1023)
+    code = ArrayCode("PRA", 1025, 1023, 2, 10, (flipped,))
+    quotients, mod = [], arraycode._mod
+
+    def spy(a, m):
+        quotients.append(a.bit_length() - m.bit_length())
+        return mod(a, m)
+
+    monkeypatch.setattr(arraycode, "_mod", spy)
+    rep = verify(code)
+    assert 0 < len(quotients) and max(quotients) <= 20
+    assert rep == VerifyReport(
+        kind="PRA",
+        counting_ok=True,
+        dims_ok=True,
+        coverage_ok=False,
+        closure_ok=False,
+        notes=(
+            "window 01010101110111011101 at array 0 anchor (68,224) "
+            "repeats array 0 anchor (0,1016)",
+            "window 01111001001101010101 at array 0 anchor (483,466) "
+            "repeats array 0 anchor (0,1022)",
+            "window 11110010001010101010 at array 0 anchor (483,467) "
+            "repeats array 0 anchor (0,0)",
+            "window 10101011111110111010 at array 0 anchor (604,224) "
+            "repeats array 0 anchor (0,1017)",
+            "window 01010111101101110101 at array 0 anchor (604,225) "
+            "repeats array 0 anchor (0,1018)",
+            "coverage: 1048555 distinct windows, need 1048575",
+            "positioned arrays span at least 2097152 words, more than "
+            "|P| + 1 = 1048576: not closed under shift-and-add",
+        ),
+    )
+
+
+def test_a_code_of_no_arrays_forms_no_huge_polynomial():
+    """A PRA of no arrays on a coprime torus of 5 * 2^40 cells spans {0},
+    of dimension 0: it is closed, and verify ends at once, with no
+    polynomial z^N - 1 of N bits formed."""
+    code = ArrayCode("PRA", 1 << 40, 5, 2, 2, ())
+    assert _ideal(code) is None
+    rep = verify(code)
+    assert rep.closure_ok and not rep.counting_ok and not rep.coverage_ok
+    assert verify(ArrayCode("PRA", 3, 5, 2, 2, ())) == replace(
+        rep, notes=("counting: 0 arrays x 3x5 cells != 15", *rep.notes[1:])
+    )
 
 
 @pytest.mark.parametrize("n, m", [(5, 8), (10**9, 10**9), (1, 33)])

@@ -1,16 +1,22 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
+import functools
 import io
 import json
 import os
 import stat
 import subprocess
 import sys
+from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import foldcodes
 import foldcodes.constructions as constructions
+from foldcodes.arraycode import KINDS
 from foldcodes.cli import run
 
 
@@ -493,6 +499,33 @@ def test_construct_db_direct_pipeline(tmp_path, capsys):
         == 2
     )
     assert "not 2^m" in capsys.readouterr().err
+
+
+def test_db_direct_takes_its_selector_from_a_seed_polynomial(
+    tmp_path, capsys
+):
+    base = tmp_path / "base.json"
+    argv = ["construct", "pmc-sd", "--n", "5", "--k", "3", "--m", "1"]
+    assert run([*argv, "--format", "json", "--out", str(base)]) == 0
+    argv = ["construct", "db-direct", "--input", str(base), "--m", "2"]
+    assert run([*argv, "--seed-poly", "x^2+x+1", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["meta"]["seed_poly"] == "x^2+x+1"
+
+
+@pytest.mark.parametrize(
+    "command, field", [("verify", "r"), ("unfold", "arrays")]
+)
+def test_a_document_without_a_field_names_it(tmp_path, capsys, command, field):
+    doc = dict(_FOLDPR_DOC)
+    del doc[field]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run([command, "--input", str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: malformed document: '{field}'\n"
+    )
 
 
 def test_construct_prac_fold_cli(tmp_path, capsys):
@@ -1035,3 +1068,154 @@ def test_pf_search_over_its_node_budget_exits_two(capsys, monkeypatch):
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         run(["construct", "bogus", "--n", "2"])
+
+
+# ---------------------------------------------------------------------
+# boundary fuzz: generated documents and flag values through run()
+# ---------------------------------------------------------------------
+
+_MISSING = object()
+_HUGE = 1 << 40
+_BAD_INTS = [0, -1, -_HUGE, "3", 3.5, None, True, [1], _MISSING]
+
+
+@functools.cache
+def _db_base_doc():
+    """The pmc-sd code of PF(5,3) with m = 1, a DBAC db-direct admits."""
+    out = io.StringIO()
+    argv = ["construct", "pmc-sd", "--n", "5", "--k", "3", "--m", "1"]
+    with contextlib.redirect_stdout(out):
+        assert run([*argv, "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def _edits(base):
+    """Documents made from base by replacing or dropping fields: wrong
+    types, 0, negative and huge dimensions, ragged, short or non-binary
+    rows. Each is a dict of field -> new value (_MISSING drops it)."""
+    rows = base["arrays"][0]
+    bad_rows = [
+        [rows[0][:-1], *rows[1:]],
+        [rows[0][:-1] + "2", *rows[1:]],
+        rows[:-1],
+        [[int(c) for c in row] for row in rows],
+        [5],
+        rows[0],
+    ]
+    values = {
+        "kind": st.sampled_from(["PRA", "PM", "SDBAC", "RAW", 5, None]),
+        "r": st.sampled_from([*_BAD_INTS, _HUGE]),
+        "t": st.sampled_from([*_BAD_INTS, _HUGE]),
+        "n": st.sampled_from([*_BAD_INTS, 1, _HUGE]),
+        "m": st.sampled_from([*_BAD_INTS, 1, _HUGE]),
+        "arrays": st.sampled_from(
+            [[], [rows] * 2, 5, [7], [[5]], _MISSING]
+            + [[rows, bad] for bad in bad_rows]
+        ),
+    }
+    return st.fixed_dictionaries({}, optional=values)
+
+
+def _must_accept(doc, command, kind=None, n=None, m=None):
+    """Whether a document is well formed for command: r and t integers
+    of at least 1, arrays a list of r x t arrays of binary row strings,
+    and for verify a known kind and integer n, m of at least 1, the
+    flags standing in for the document's fields."""
+    r, t, arrays = doc.get("r"), doc.get("t"), doc.get("arrays")
+    if not all(type(v) is int and v >= 1 for v in (r, t)):
+        return False
+    if not isinstance(arrays, list) or not all(
+        isinstance(rows, list)
+        and len(rows) == r
+        and all(
+            isinstance(row, str) and len(row) == t and set(row) <= {"0", "1"}
+            for row in rows
+        )
+        for rows in arrays
+    ):
+        return False
+    if command != "verify":
+        return True
+    window = (
+        doc.get("n") if n is None else n,
+        doc.get("m") if m is None else m,
+    )
+    return (kind or doc.get("kind")) in KINDS and all(
+        type(v) is int and v >= 1 for v in window
+    )
+
+
+def _exits_cleanly(capsys, argv):
+    """run(argv) returns 0 or 1 with nothing on stderr, or 2 with
+    exactly one line there, starting error:, and nothing on stdout."""
+    status = run(argv)
+    out, err = capsys.readouterr()
+    if status == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error:")
+    else:
+        assert status in (0, 1) and err == "", (status, err)
+    return status
+
+
+_FLAG_INTS = st.sampled_from([None, 0, -1, 1, 2, 3, _HUGE])
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["verify", "unfold", "db-direct"]),
+    data=st.data(),
+    kind=st.sampled_from([None, *KINDS]),
+    n=_FLAG_INTS,
+    m=_FLAG_INTS,
+    seed=st.sampled_from([None, "x^2+x+1", "x^3+x+1", "x^2+1", "0", "y"]),
+)
+def test_generated_documents_exit_cleanly(
+    tmp_path, capsys, command, data, kind, n, m, seed
+):
+    base = _db_base_doc() if command == "db-direct" else _FOLDPR_DOC
+    edits = data.draw(_edits(base))
+    doc = {**base, **edits}
+    doc = {key: value for key, value in doc.items() if value is not _MISSING}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "verify":
+        argv = ["verify", "--input", str(path)]
+        flags = {"--kind": kind, "--n": n, "--m": m}
+    elif command == "unfold":
+        argv, flags = ["unfold", "--input", str(path)], {}
+    else:
+        argv = ["construct", "db-direct", "--input", str(path)]
+        flags = {"--m": 2 if m is None else m, "--seed-poly": seed}
+    for flag, value in flags.items():
+        if value is not None:
+            argv += [flag, str(value)]
+    status = _exits_cleanly(capsys, argv)
+    if command == "db-direct":
+        admitted = not edits and m in (None, 2) and seed in (None, "x^2+x+1")
+        assert status == 0 or not admitted
+    elif _must_accept(doc, command, kind, n, m):
+        assert status in (0, 1)
+    else:
+        assert status == 2
+
+
+_SIDES = st.sampled_from([0, -1, 1, 3, 5, _HUGE])
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(r=_SIDES, t=_SIDES, n=_FLAG_INTS, m=_FLAG_INTS)
+def test_generated_fold_flags_exit_cleanly(capsys, r, t, n, m):
+    argv = ["fold", "--poly", "x^4+x^3+1", "--r", str(r), "--t", str(t)]
+    for flag, value in (("--n", n), ("--m", m)):
+        if value is not None:
+            argv += [flag, str(value)]
+    if _exits_cleanly(capsys, argv) != 2:
+        assert (r * t, gcd(r, t)) == (15, 1)

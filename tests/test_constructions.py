@@ -7,6 +7,7 @@ not copied from the constructions themselves.
 
 import contextlib
 import dataclasses
+import os
 from itertools import product
 from unittest import mock
 
@@ -119,6 +120,56 @@ def test_pf_search_over_its_node_budget_is_exhausted(monkeypatch):
         SearchExhausted, match="perfect factor search exceeded 50 nodes"
     ):
         perfect_factor(5, 3)
+
+
+PF_TABLE = os.path.join(
+    os.path.dirname(__file__), "data", "perfect_factors.tsv"
+)
+
+
+def _pf_outcome(n, k, parity):
+    """The cycles' digits, space-separated, or 'Class: message'."""
+    try:
+        pf = perfect_factor(n, k, parity)
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return " ".join(c.digits() for c in pf.cycles)
+
+
+def test_every_perfect_factor_to_n_6_is_pinned(monkeypatch):
+    """Every call with 1 <= k <= n <= 6 gives the checked-in cycles or
+    error, and runs out of nodes exactly under a smaller budget: the
+    search's order and its node count per call stay put."""
+    import foldcodes.constructions as cons
+
+    with open(PF_TABLE, encoding="utf-8") as fh:
+        rows = [
+            line.rstrip("\n").split("\t")
+            for line in fh
+            if not line.startswith("#")
+        ]
+    calls = [(int(n), int(k), None if p == "-" else p) for n, k, p, *_ in rows]
+    assert calls == [
+        (n, k, p)
+        for n in range(1, 7)
+        for k in range(1, n + 1)
+        for p in (None, "even", "odd")
+    ]
+    for (n, k, parity), (*_, nodes, want) in zip(calls, rows):
+        nodes = int(nodes)
+        assert _pf_outcome(n, k, parity) == want, (n, k, parity)
+        budgets = {50, 500, 5000} | ({nodes - 1, nodes} if nodes else set())
+        for budget in sorted(budgets):
+            monkeypatch.setattr(cons, "_NODE_BUDGET", budget)
+            exhausted = (
+                f"SearchExhausted: perfect factor search exceeded {budget} "
+                "nodes"
+            )
+            got = _pf_outcome(n, k, parity)
+            assert got == (want if budget >= nodes else exhausted), (
+                n, k, parity, budget
+            )
+        monkeypatch.undo()
 
 
 def test_pf_53_is_all_even():

@@ -96,6 +96,11 @@ def test_parse_and_print_round_trip():
         assert P(str(Gf2Poly(mask))).mask == mask
 
 
+def test_parse_of_zero_is_the_zero_polynomial():
+    zero = P("0")
+    assert zero == Gf2Poly(0) and zero.degree is None
+
+
 def test_parse_rejects_garbage():
     for bad in ["", "x^", "y+1", "x^-2", "2x"]:
         with pytest.raises(ValueError):
