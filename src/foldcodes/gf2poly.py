@@ -27,6 +27,9 @@ __all__ = [
 # polynomial ends in milliseconds and x^99999999999+1 forms no mask.
 _MAX_PARSE_DEGREE = 32
 
+# Largest degree of enumeration and of register cycles (2^24 - 1 states).
+_MAX_DEGREE = 24
+
 
 def _capped(d: int) -> int:
     if d > _MAX_PARSE_DEGREE:
@@ -278,14 +281,14 @@ def is_primitive(f: Gf2Poly) -> bool:
 def enumerate_irreducible(n: int, e: int | None = None) -> list:
     """All irreducible polynomials of degree n, in ascending mask order.
 
-    The list comes from a sieve (see _irreducible_masks).  When e is
-    given, it is filtered to polynomials of exponent e: those with
-    x^e = 1 and x^(e/p) != 1 for every prime p dividing e.
+    The list comes from a sieve (see _irreducible_masks); with e, from
+    _masks_of_exponent, unless 2^n - 1 is a prime e (so n >= 2 and x is
+    not listed): then every irreducible of degree n has exponent e.
     If e does not divide 2^n - 1 no such polynomial exists: the result is
     empty and a warning explains why.
     """
-    if not 1 <= n <= 24:
-        raise ValueError("degree must be between 1 and 24")
+    if not 1 <= n <= _MAX_DEGREE:
+        raise ValueError(f"degree must be between 1 and {_MAX_DEGREE}")
     if e is not None:
         if e < 1:
             raise ValueError("exponent filter must be positive")
@@ -296,19 +299,80 @@ def enumerate_irreducible(n: int, e: int | None = None) -> list:
                 stacklevel=2,
             )
             return []
-    masks = _irreducible_masks(n)
-    if e is not None:
-        primes = _prime_factors(e)
-        # x^(2^n - 1) = 1 modulo every irreducible of degree n but x
-        full = e == (1 << n) - 1
-        masks = [
-            mask
-            for mask in masks
-            if mask & 1  # f = x has no exponent
-            and (full or _pow_x(e, mask) == 1)
-            and all(_pow_x(e // p, mask) != 1 for p in primes)
-        ]
+    if e is None or _prime_factors(e) == [(1 << n) - 1]:
+        masks = _irreducible_masks(n)
+    else:
+        masks = _masks_of_exponent(n, e)
     return [Gf2Poly(mask) for mask in masks]
+
+
+def _m_bits(mask: int) -> int:
+    """One period of the m-sequence of the primitive mask, packed (bit p
+    holds s_p), from the least state 0...01, by blocks.  Over the terms
+    x^j of its polynomial f, sum_j s_{k+j} = 0 for every k, and over GF(2)
+    f(x)^B = f(x^B) for B a power of two, so also sum_j s_{k+jB} = 0:
+    once L >= nB bits are known, the next B follow from L - nB on by one
+    shift and XOR of the packed bits per tap."""
+    n = mask.bit_length() - 1
+    e = (1 << n) - 1
+    taps = [j for j in range(n) if mask >> j & 1]
+    v, L = 1 << (n - 1), n
+    while L < e:
+        B = 1 << ((L // n).bit_length() - 1)
+        step = min(B, e - L)
+        base, block = L - n * B, 0
+        for j in taps:
+            block ^= v >> (base + j * B)
+        v |= (block & ((1 << step) - 1)) << L
+        L += step
+    return v
+
+
+def _minimal_polynomial(digits: str) -> tuple:
+    """The shortest register (c, L) generating a string of binary digits,
+    by Berlekamp-Massey (Massey, IEEE Trans. IT 1969): s_k = c_1 s_{k-1}
+    + ... + c_L s_{k-L} for every k >= L, c the mask of 1 + c_1 x + ...
+    + c_L x^L.  Bit i of s >> (top - k) holds s_{k-i}."""
+    top = len(digits) - 1
+    s = int(digits, 2)
+    c, b, L, m = 1, 1, 0, -1
+    for k in range(top + 1):
+        if (c & s >> (top - k)).bit_count() & 1:
+            c, t = c ^ b << (k - m), c
+            if 2 * L <= k:
+                L, b, m = k + 1 - L, t, k
+    return c, L
+
+
+def _masks_of_exponent(n: int, e: int) -> list:
+    """The irreducibles of degree n and exponent e, ascending, one
+    Berlekamp-Massey run each.  They are the minimal polynomials of the
+    elements of order e of GF(2^n) (Lidl & Niederreiter, Finite Fields,
+    3.3): with a a root of a primitive p, the a^(d*u) for d = (2^n - 1)/e
+    and u a unit mod e, one per coset {u * 2^i mod e}.  These have degree
+    n only when 2 has order n mod e.  The digits of p's m-sequence,
+    highest bit first, are s_-1, s_-2, ...; read at the positions d*u*j
+    they are a sequence of the minimal polynomial of a^(-d*u), whose 2n
+    digits fix it, and its connection polynomial, the reciprocal, is the
+    minimal polynomial of a^(d*u)."""
+    if any(((1 << k) - 1) % e == 0 for k in range(1, n)):
+        return []
+    N = (1 << n) - 1
+    p = next(m for m in range((1 << n) | 1, 2 << n, 2)
+             if is_irreducible(Gf2Poly(m)) and _irreducible_order(m) == N)
+    text, d = format(_m_bits(p), f"0{N}b"), N // e
+    seen = bytearray(e)
+    for q in _prime_factors(e):
+        seen[::q] = b"\x01" * len(range(0, e, q))
+    masks = []
+    u = seen.find(0)
+    while u >= 0:
+        for i in range(n):
+            seen[(u << i) % e] = 1
+        masks.append(_minimal_polynomial(
+            "".join([text[d * u * j % N] for j in range(2 * n)]))[0])
+        u = seen.find(0, u)
+    return sorted(masks)
 
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")

@@ -15,7 +15,9 @@ from itertools import chain, groupby
 from .arraycode import (
     _flags_cover, _minimal_period, _repeat, _turn, _window_keys
 )
-from .gf2poly import Gf2Poly, _irreducible_order, is_irreducible, is_primitive
+from .gf2poly import (
+    _MAX_DEGREE, Gf2Poly, _irreducible_order, _m_bits, is_irreducible, is_primitive
+)
 
 __all__ = [
     "CyclicSequence",
@@ -171,36 +173,15 @@ class PerfectFactor:
         return "\n".join(str(s) for s in self.cycles)
 
 
-# Largest register degree: the longest cycle has 2^24 - 1 states.
-_MAX_DEGREE = 24
-
-
 def _check_degree(n: int) -> None:
     if n > _MAX_DEGREE:
         raise ValueError(f"degree capped at {_MAX_DEGREE}")
 
 
 def _m_cycle(f: Gf2Poly) -> CyclicSequence:
-    """The one cycle of primitive f, in canonical phase, by blocks.
-
-    The cycle satisfies sum over the terms x^j of f of s_{k+j} = 0 for
-    every k, and over GF(2) f(x)^B = f(x^B) for B a power of two, so also
-    sum_j s_{k+jB} = 0: once L >= nB bits are known, the next B follow
-    from L - nB on by one shift and XOR of the packed bits per tap.  The
-    start 0...01 is the least state, so the cycle comes out canonical.
-    """
-    n, e = f.degree, (1 << f.degree) - 1
-    taps = [j for j in range(n) if f.mask >> j & 1]
-    v, L = 1 << (n - 1), n
-    while L < e:
-        B = 1 << ((L // n).bit_length() - 1)
-        step = min(B, e - L)
-        base, block = L - n * B, 0
-        for j in taps:
-            block ^= v >> (base + j * B)
-        v |= (block & ((1 << step) - 1)) << L
-        L += step
-    return CyclicSequence._known(v, e, v)
+    """The one cycle of primitive f, canonical from its least state."""
+    v = _m_bits(f.mask)
+    return CyclicSequence._known(v, (1 << f.degree) - 1, v)
 
 
 def generate_cycles(f: Gf2Poly) -> SequenceFamily:
@@ -208,7 +189,7 @@ def generate_cycles(f: Gf2Poly) -> SequenceFamily:
 
     Members are returned in canonical phase, sorted.  For irreducible f
     every cycle has length exponent(f).  Primitive f has one cycle, built
-    by the block recurrence of ``_m_cycle``; any other f is walked.
+    by the block recurrence of ``gf2poly._m_bits``; any other f is walked.
 
     The n-windows of one cycle are its states, all distinct, so the
     cycle length is the minimal period of its bits, and the rotation

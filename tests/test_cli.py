@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -689,6 +690,17 @@ def test_poly_info(capsys):
     assert run(["poly"]) == 2
 
 
+def test_poly_degree_20_primitives_are_pinned(capsys):
+    # the 24000 primitive polynomials of degree 20, hashed as printed by
+    # the sieve-and-filter enumeration that the per-exponent path replaced
+    assert run(["poly", "--degree", "20", "--exponent", "1048575"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 24000
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e6f1a3a2a89cc01bd5f1ac9f79341706691f46ff3d7eea6a598ac1e50a4a0366"
+    )
+
+
 def _one_line_error(capsys, *parts):
     """The command wrote nothing to stdout and one error line to stderr."""
     out, err = capsys.readouterr()
@@ -736,6 +748,7 @@ def test_every_polynomial_flag_is_capped(tmp_path, capsys):
     [
         (["poly", "--degree", "0"], "degree must be between 1 and 24"),
         (["poly", "--poly", ""], "bad polynomial '': empty polynomial string"),
+        (["poly", "--degree", "25"], "degree must be between 1 and 24"),
     ],
 )
 def test_poly_names_the_real_refusal(capsys, argv, message):

@@ -1,19 +1,26 @@
 """Tests for GF(2) polynomial arithmetic.
 
 The brute-force oracles come first: coefficient-convolution multiply,
-schoolbook remainder, trial-division gcd and irreducibility, and a naive
-order scan.  The fast implementations must agree with them exhaustively at
-small degrees and on fixed-seed samples above that.
+schoolbook remainder, trial-division gcd and irreducibility, a naive
+order scan, the shortest register by trial, and the sieve-and-filter list
+of one exponent.  The fast implementations must agree with them
+exhaustively at small degrees and on fixed-seed samples above that.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldcodes.gf2poly import (
     Gf2Poly,
     _gcd,
+    _irreducible_masks,
+    _minimal_polynomial,
     _mod,
+    _pow_x,
+    _prime_factors,
     enumerate_irreducible,
     euler_phi,
     exponent,
@@ -70,6 +77,39 @@ def irreducible_oracle(mask: int) -> bool:
         if mod_oracle(mask, d) == 0:
             return False
     return True
+
+
+def regenerates(digits: str, c: int, L: int) -> bool:
+    """Whether the register of connection mask c and length L yields the
+    digits: s_k = c_1 s_{k-1} + ... + c_L s_{k-L} for every k >= L."""
+    s = [int(ch) for ch in digits]
+    return all(
+        s[k] == sum(s[k - i] for i in range(1, L + 1) if c >> i & 1) % 2
+        for k in range(L, len(s))
+    )
+
+
+def linear_complexity_oracle(digits: str) -> int:
+    """The least L for which some connection polynomial 1 + c_1 x + ...
+    + c_L x^L regenerates the digits, by trial in increasing degree."""
+    for L in range(len(digits) + 1):
+        if any(regenerates(digits, c, L) for c in range(1, 2 << L, 2)):
+            return L
+    raise AssertionError("a register as long as the string always fits")
+
+
+def exponent_filter_oracle(n: int, e: int) -> list:
+    """The sieve-and-filter form of enumerate_irreducible(n, e): every
+    irreducible of degree n with x^e = 1 and x^(e/p) != 1 for each prime
+    p dividing e."""
+    primes = _prime_factors(e)
+    return [
+        Gf2Poly(mask)
+        for mask in _irreducible_masks(n)
+        if mask & 1
+        and _pow_x(e, mask) == 1
+        and all(_pow_x(e // p, mask) != 1 for p in primes)
+    ]
 
 
 def exponent_oracle(mask: int) -> int:
@@ -309,10 +349,9 @@ def test_enumerate_bad_exponent_warns_and_returns_empty():
 
 
 def test_enumerate_bounds():
-    with pytest.raises(ValueError):
-        enumerate_irreducible(0)
-    with pytest.raises(ValueError):
-        enumerate_irreducible(25)
+    for n in (0, 25):
+        with pytest.raises(ValueError, match="^degree must be between 1 and 24$"):
+            enumerate_irreducible(n)
     with pytest.raises(ValueError):
         enumerate_irreducible(4, 0)
 
@@ -441,3 +480,39 @@ def test_exponent_matches_divisor_scan_to_degree_12():
                 e = exponent_divisor_scan(f)
                 assert exponent(f) == e, f
                 assert is_primitive(f) == (e == (1 << n) - 1), f
+
+
+# ------------------------------------ exponent lists by Berlekamp-Massey
+
+
+def test_minimal_polynomial_is_the_shortest_register_to_length_8():
+    for length in range(1, 9):
+        for value in range(1 << length):
+            digits = format(value, f"0{length}b")
+            c, L = _minimal_polynomial(digits)
+            assert c & 1 and c.bit_length() - 1 <= L, digits
+            assert regenerates(digits, c, L), digits
+            assert L == linear_complexity_oracle(digits), digits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="01", min_size=1, max_size=64))
+def test_minimal_polynomial_regenerates_its_string(digits):
+    c, L = _minimal_polynomial(digits)
+    assert c & 1 and c.bit_length() - 1 <= L
+    assert regenerates(digits, c, L)
+
+
+def test_enumerate_by_exponent_matches_the_filter_to_degree_17():
+    # the exponents of the command-line workload at degrees 14 and 16, a
+    # seeded sample of the divisors of 2^n - 1 for 13 <= n <= 16, and the
+    # prime periods 2^13 - 1 and 2^17 - 1, which the sieve answers
+    cases = {(14, e) for e in (43, 129, 381)}
+    cases |= {(16, e) for e in (257, 771, 1285, 3855, 4369)}
+    cases |= {(13, 8191), (17, 131071)}
+    rng = random.Random(5)
+    for n in range(13, 17):
+        divisors = divisors_oracle((1 << n) - 1)
+        cases.update((n, e) for e in rng.sample(divisors, min(4, len(divisors))))
+    for n, e in sorted(cases):
+        assert enumerate_irreducible(n, e) == exponent_filter_oracle(n, e), (n, e)

@@ -237,7 +237,7 @@ def test_register_degree_cap():
     # x^25+x^3+1 is primitive; its 2^25 - 1 states are over the cap
     assert is_primitive(P("x^25+x^3+1"))
     for call in (generate_cycles, m_sequence):
-        with pytest.raises(ValueError, match="degree capped at 24"):
+        with pytest.raises(ValueError, match="^degree capped at 24$"):
             call(P("x^25+x^3+1"))
     with pytest.raises(ValueError, match="reducible"):
         m_sequence(P("x^25+1"))
