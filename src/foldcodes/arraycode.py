@@ -63,11 +63,16 @@ from .gf2poly import _independent, _mod, _prime_factors
 KINDS = ("PM", "SPM", "PRA", "DBAC", "SDBAC", "PRAC")
 _FULL_KINDS = frozenset(("PM", "DBAC"))
 _LINEAR_KINDS = frozenset(("PRA", "PRAC"))
-_DIGITS = frozenset("01")
+_NOT_DIGITS = str.maketrans("", "", "01")
 _MAX_WINDOW = 32  # largest n*m whose windows verify enumerates
 _BATCH_CELLS = 1 << 14  # most key cells that _window_keys builds at once
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _is_binary(text: str) -> bool:
+    """Whether text holds only the digits 0 and 1, in one C-level pass."""
+    return not text.translate(_NOT_DIGITS)
 
 
 class CyclicArray:
@@ -78,7 +83,7 @@ class CyclicArray:
     def __init__(self, rows):
         texts = []
         for row in rows:
-            digits = isinstance(row, str) and _DIGITS.issuperset(row)
+            digits = isinstance(row, str) and _is_binary(row)
             if not digits:
                 row = list(map(int, row) if isinstance(row, str) else row)
             if texts and len(row) != len(texts[0]):

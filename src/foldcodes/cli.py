@@ -30,7 +30,7 @@ import stat
 import sys
 import warnings
 
-from .arraycode import _DIGITS, KINDS, ArrayCode, CyclicArray, verify
+from .arraycode import KINDS, ArrayCode, CyclicArray, _is_binary, verify
 from .constructions import (
     SearchExhausted,
     construct_db_pmc_direct,
@@ -155,7 +155,7 @@ def _doc_arrays(doc: dict):
             raise _CliError(f"array {idx} is not {r}x{t}")
         # the rows in cell order, reversed, are the packed value's digits
         text = "".join(rows)
-        if not _DIGITS.issuperset(text):
+        if not _is_binary(text):
             raise _CliError(f"array {idx} has non-binary cells")
         arrays.append(CyclicArray._wrap(int(text[::-1], 2), r, t))
     return r, t, arrays

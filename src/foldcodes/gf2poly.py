@@ -306,20 +306,20 @@ def enumerate_irreducible(n: int, e: int | None = None) -> list:
     return [Gf2Poly(mask) for mask in masks]
 
 
-def _m_bits(mask: int) -> int:
-    """One period of the m-sequence of the primitive mask, packed (bit p
-    holds s_p), from the least state 0...01, by blocks.  Over the terms
-    x^j of its polynomial f, sum_j s_{k+j} = 0 for every k, and over GF(2)
-    f(x)^B = f(x^B) for B a power of two, so also sum_j s_{k+jB} = 0:
-    once L >= nB bits are known, the next B follow from L - nB on by one
-    shift and XOR of the packed bits per tap."""
+def _m_bits(mask: int, period: int) -> int:
+    """The first period bits of the sequence of the mask from the least
+    state 0...01, packed (bit p holds s_p), by blocks: for an irreducible
+    mask of that exponent, its cycle in canonical phase.  Over the terms
+    x^j of its f, sum_j s_{k+j} = 0 for every k, and over GF(2) f(x)^B =
+    f(x^B) for any f and B a power of two, so sum_j s_{k+jB} = 0: once
+    L >= nB bits are known, the next B follow from L - nB on by one shift
+    and XOR of the packed bits per tap."""
     n = mask.bit_length() - 1
-    e = (1 << n) - 1
     taps = [j for j in range(n) if mask >> j & 1]
     v, L = 1 << (n - 1), n
-    while L < e:
+    while L < period:
         B = 1 << ((L // n).bit_length() - 1)
-        step = min(B, e - L)
+        step = min(B, period - L)
         base, block = L - n * B, 0
         for j in taps:
             block ^= v >> (base + j * B)
@@ -360,7 +360,7 @@ def _masks_of_exponent(n: int, e: int) -> list:
     N = (1 << n) - 1
     p = next(m for m in range((1 << n) | 1, 2 << n, 2)
              if is_irreducible(Gf2Poly(m)) and _irreducible_order(m) == N)
-    text, d = format(_m_bits(p), f"0{N}b"), N // e
+    text, d = format(_m_bits(p, N), f"0{N}b"), N // e
     seen = bytearray(e)
     for q in _prime_factors(e):
         seen[::q] = b"\x01" * len(range(0, e, q))

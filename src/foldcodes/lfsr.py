@@ -16,7 +16,7 @@ from .arraycode import (
     _flags_cover, _minimal_period, _repeat, _turn, _window_keys
 )
 from .gf2poly import (
-    _MAX_DEGREE, Gf2Poly, _irreducible_order, _m_bits, is_irreducible, is_primitive
+    _MAX_DEGREE, Gf2Poly, _irreducible_order, _m_bits, is_irreducible
 )
 
 __all__ = [
@@ -178,24 +178,51 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree capped at {_MAX_DEGREE}")
 
 
-def _m_cycle(f: Gf2Poly) -> CyclicSequence:
-    """The one cycle of primitive f, canonical from its least state."""
-    v = _m_bits(f.mask)
-    return CyclicSequence._known(v, (1 << f.degree) - 1, v)
+def _times(v: int, terms: list, e: int, n: int) -> int:
+    """g*c in its least rotation, for c the e-bit cycle v of an n-stage
+    register and g the sum of x^t over terms: the XOR of v turned by each
+    t.  The n-windows of a cycle are distinct, so its least rotation
+    starts at its least n-window, which begins a longest run of zeros."""
+    w = 0
+    for t in terms:
+        w ^= _turn(v, t, e)
+    d = format(w, f"0{e}b")[::-1]
+    d += d[:n - 1]
+    run = next("0" * z + "1" for z in range(n - 1, -1, -1) if "0" * z in d)
+    best = p = d.find(run)
+    while 0 <= (p := d.find(run, p + 1)) < e:
+        if d[p:p + n] < d[best:best + n]:
+            best = p
+    return _turn(w, best, e)
+
+
+def _coset_cycles(mask: int, n: int, e: int) -> list:
+    """The canonical cycles of irreducible f of degree n and exponent e,
+    the (2^n - 1)/e cosets of <x> in the units mod f: a unit g sends the
+    cycle of c to that of g*c.  From the least state's cycle, each odd
+    g = x + 1, x^2 + 1, ... multiplies the last layer of found cycles
+    until a product is known: g^j then lies in the subgroup reached."""
+    found = [_m_bits(mask, e)]
+    known, k, g = set(found), ((1 << n) - 1) // e, 1
+    while len(found) < k:
+        g += 2
+        terms, layer = [t for t in range(n) if g >> t & 1], found
+        while len(found) < k and (w := _times(layer[0], terms, e, n)) not in known:
+            layer = [w] + [_times(v, terms, e, n) for v in layer[1:]]
+            known.update(layer)
+            found += layer
+    return [CyclicSequence._known(v, e, v) for v in found]
 
 
 def generate_cycles(f: Gf2Poly) -> SequenceFamily:
     """Partition the 2^n - 1 nonzero register states of f into cycles.
 
     Members are returned in canonical phase, sorted.  For irreducible f
-    every cycle has length exponent(f).  Primitive f has one cycle, built
-    by the block recurrence of ``gf2poly._m_bits``; any other f is walked.
-
-    The n-windows of one cycle are its states, all distinct, so the
-    cycle length is the minimal period of its bits, and the rotation
-    that starts at the least state is the least rotation.  Walking from
-    the least state not yet seen, which ``find`` returns, therefore
-    yields each cycle canonical.
+    every cycle has length exponent(f), and ``_coset_cycles`` builds
+    them: one for primitive f.  Reducible f is walked, each cycle from
+    the least state not yet seen, which ``find`` returns.  The n-windows
+    of a cycle are its states, all distinct, so the walk ends at its
+    minimal period, and from its least state it is its least rotation.
     """
     n = f.degree
     if f.mask == 0 or n == 0:
@@ -203,25 +230,22 @@ def generate_cycles(f: Gf2Poly) -> SequenceFamily:
     _check_degree(n)
     if not (f.mask & 1):
         raise ValueError("singular register: constant term of f is zero")
-    size = 1 << n
-    if is_primitive(f):
-        return SequenceFamily(order=n, members=(_m_cycle(f),), exponent=size - 1)
-    low, top = size - 1, n - 1
-    # c_i multiplies a_{k-i}, which sits in bit i-1 of the state
-    taps = int(format(f.mask & low, f"0{n}b")[::-1], 2)
-    seen = bytearray(size)
-    seen[0] = 1
-    cycles = []
-    start = 1
-    while start > 0:
-        state, bits = start, []
-        while not seen[state]:
-            seen[state] = 1
-            bits.append(state >> top)
-            state = ((state << 1) & low) | ((state & taps).bit_count() & 1)
-        value = int(bytearray(bits).translate(_TO_TEXT)[::-1], 2)
-        cycles.append(CyclicSequence._known(value, len(bits), value))
-        start = seen.find(0, start)
+    if is_irreducible(f):
+        cycles = _coset_cycles(f.mask, n, _irreducible_order(f.mask))
+    else:
+        low, top = (1 << n) - 1, n - 1
+        # c_i multiplies a_{k-i}, which sits in bit i-1 of the state
+        taps = int(format(f.mask & low, f"0{n}b")[::-1], 2)
+        seen, cycles, start = bytearray(low + 1), [], 1
+        while start > 0:
+            state, bits = start, []
+            while not seen[state]:
+                seen[state] = 1
+                bits.append(state >> top)
+                state = ((state << 1) & low) | ((state & taps).bit_count() & 1)
+            value = int(bytearray(bits).translate(_TO_TEXT)[::-1], 2)
+            cycles.append(CyclicSequence._known(value, len(bits), value))
+            start = seen.find(0, start)
     # the digits order the members as their bit tuples would
     cycles.sort(key=CyclicSequence.digits)
     lengths = {len(c) for c in cycles}
@@ -244,7 +268,8 @@ def m_sequence(f: Gf2Poly) -> CyclicSequence:
     if e != full:
         raise ValueError(f"not primitive: exponent of {f} is {e}, not {full}")
     _check_degree(f.degree)
-    return _m_cycle(f)
+    v = _m_bits(f.mask, full)
+    return CyclicSequence._known(v, full, v)
 
 
 def _windows(seqs, n: int):

@@ -267,6 +267,22 @@ def test_document_arrays_are_packed_from_one_digit_check(monkeypatch):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("row", ["0_1", " 01", "+01", "01 "])
+def test_rows_that_int_reads_are_still_refused(row):
+    """int(text, 2) takes an underscore, surrounding spaces and a sign,
+    so the digit check alone refuses such rows of the right length, in
+    documents and in CyclicArray."""
+    from foldcodes.arraycode import CyclicArray
+    from foldcodes.cli import _CliError, _doc_arrays
+
+    doc = {"r": 2, "t": 3, "arrays": [["011", "101"], ["101", row]]}
+    with pytest.raises(_CliError) as exc:
+        _doc_arrays(doc)
+    assert str(exc.value) == "array 1 has non-binary cells"
+    with pytest.raises(ValueError):
+        CyclicArray(["101", row])
+
+
 _ONE_BY_ONE = {"kind": "PRA", "r": 1, "t": 1, "n": 1, "m": 1, "meta": {}}
 
 

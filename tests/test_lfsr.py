@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldcodes import lfsr
 from foldcodes.arraycode import ArrayCode, _window_keys, verify
 from foldcodes.constructions import (
     NonexistenceError,
@@ -23,6 +24,7 @@ from foldcodes.gf2poly import (
     Gf2Poly,
     enumerate_irreducible,
     exponent,
+    is_irreducible,
     is_primitive,
     mul,
 )
@@ -233,7 +235,7 @@ def test_m_sequence_examples():
         m_sequence(P("x"))
 
 
-def test_register_degree_cap():
+def test_register_degree_cap(monkeypatch):
     # x^25+x^3+1 is primitive; its 2^25 - 1 states are over the cap
     assert is_primitive(P("x^25+x^3+1"))
     for call in (generate_cycles, m_sequence):
@@ -241,6 +243,20 @@ def test_register_degree_cap():
             call(P("x^25+x^3+1"))
     with pytest.raises(ValueError, match="reducible"):
         m_sequence(P("x^25+1"))
+    # x^25+x^22+x^4+x+1 is irreducible of exponent 1082401 (31 cycles)
+    # and x^25+1 reducible: the cap refuses both before any algebra
+    f = P("x^25+x^22+x^4+x+1")
+    assert is_irreducible(f) and exponent(f) == 1082401
+    assert not is_irreducible(P("x^25+1"))
+
+    def refuse(*args):
+        raise AssertionError("work done past the degree cap")
+
+    for name in ("is_irreducible", "_irreducible_order", "_m_bits"):
+        monkeypatch.setattr(lfsr, name, refuse)
+    for text in ("x^25+x^22+x^4+x+1", "x^25+1"):
+        with pytest.raises(ValueError, match="^degree capped at 24$"):
+            generate_cycles(P(text))
 
 
 def test_m_sequence_recursion_membership():
@@ -530,6 +546,83 @@ def test_primitive_cycles_match_the_state_walk():
         fam = generate_cycles(f)
         assert (fam.order, fam.exponent, len(fam.members)) == (n, len(want), 1)
         assert fam.members[0].digits() == m_sequence(f).digits() == want, f
+
+
+def assert_cycles_match_the_state_walk(f: Gf2Poly):
+    fam = generate_cycles(f)
+    want = cycles_by_state_walk(f)
+    assert [s.bits for s in fam.members] == want, f
+    assert (fam.order, fam.exponent) == (f.degree, len(want[0])), f
+
+
+def test_irreducible_cycles_of_degree_10_to_12_match_the_state_walk():
+    # the cosets of <x>, reached by unit multipliers, on every irreducible
+    # with a constant term; every f to degree 9 is covered above
+    for n in (10, 11, 12):
+        for f in enumerate_irreducible(n):
+            assert_cycles_match_the_state_walk(f)
+
+
+def non_primitive_sample() -> list:
+    # a seeded two of each exponent below 2^n - 1, degrees 13..16
+    rng = random.Random(23)
+    out = []
+    for n in range(13, 17):
+        full = (1 << n) - 1
+        for e in range(3, full):
+            if full % e == 0:
+                found = enumerate_irreducible(n, e)
+                out += rng.sample(found, min(2, len(found)))
+    return out
+
+
+def test_non_primitive_cycles_of_degree_13_to_16_match_the_state_walk():
+    sample = non_primitive_sample()
+    assert {f.degree for f in sample} == {14, 15, 16}  # 2^13 - 1 is prime
+    for f in sample:
+        assert_cycles_match_the_state_walk(f)
+
+
+def d_orbit(s: CyclicSequence) -> set:
+    # the cycles reached from s by D, which multiplies by x + 1
+    orbit = set()
+    while s not in orbit:
+        orbit.add(s)
+        s = d_morphism(s)
+    return orbit
+
+
+@pytest.mark.parametrize(
+    "text, e, reached",
+    [
+        # x + 1 = x^9 lies in <x>: D turns the least cycle into itself
+        ("x^9+x+1", 73, 1),
+        # x + 1 reaches 5 of the 15 cycles
+        ("x^8+x^7+x^6+x^4+x^2+x+1", 17, 5),
+    ],
+)
+def test_registers_that_need_a_second_multiplier(text, e, reached):
+    f = P(text)
+    assert exponent(f) == e
+    fam = generate_cycles(f)
+    assert len(fam.members) == ((1 << f.degree) - 1) // e > reached
+    assert len(d_orbit(fam.members[0])) == reached
+    assert_cycles_match_the_state_walk(f)
+
+
+IRREDUCIBLE_REGISTERS = [
+    f for n in range(2, 15) for f in enumerate_irreducible(n) if f.mask & 1
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(IRREDUCIBLE_REGISTERS))
+def test_irreducible_registers_give_canonical_zero_factors(f):
+    fam = generate_cycles(f)
+    assert verify_zero_factor(fam)
+    assert fam.exponent == exponent(f)
+    # computed afresh: the members carry their own phase as canonical
+    assert all(_least_rotation(s.digits()) == 0 for s in fam.members)
 
 
 def test_generate_cycles_at_the_degree_24_cap():
