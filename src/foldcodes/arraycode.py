@@ -4,7 +4,11 @@ A CyclicArray is one packed integer, bit i*t + j holding cell (i, j),
 and its shape r x t; shifting and adding arrays is integer arithmetic.
 Every index wraps, so (i, j) always means (i mod r, j mod t). Equality
 is exact cell-wise, shape included; canonical2d gives a distinguished
-2D rotation for set membership questions.
+2D rotation for set membership questions, the least packed one. As the
+packed order compares row r - 1 first, it takes each row's least turn
+(cached by row and width) and scores only the rotations that put the
+least of these on row r - 1. _packed_shifts, which yields every
+rotation, serves only _positioned and the tests.
 
 Array code kinds:
 
@@ -55,6 +59,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, islice
 from math import gcd
 
@@ -83,9 +88,12 @@ class CyclicArray:
     def __init__(self, rows):
         texts = []
         for row in rows:
-            digits = isinstance(row, str) and _is_binary(row)
+            digits = isinstance(row, str)
+            if digits and not _is_binary(row):
+                bad = row.translate(_NOT_DIGITS)[0]
+                raise ValueError(f"cell value {bad!r} is not a bit")
             if not digits:
-                row = list(map(int, row) if isinstance(row, str) else row)
+                row = list(row)
             if texts and len(row) != len(texts[0]):
                 raise ValueError("ragged rows")
             if not digits:
@@ -195,9 +203,42 @@ def _packed_shifts(a: CyclicArray):
             yield ((base << k) | (base >> (size - k))) & full
 
 
+@lru_cache(maxsize=1 << 12)
+def _least_turns(row: int, t: int) -> tuple:
+    """The least turn of the t-bit row, bit j moved to bit (j + dh) mod t,
+    and the turns dh that reach it."""
+    full = (1 << t) - 1
+    turns = [((row << dh) | (row >> (t - dh))) & full for dh in range(t)]
+    least = min(turns)
+    return least, tuple(dh for dh, turn in enumerate(turns) if turn == least)
+
+
 def canonical2d(a: CyclicArray) -> CyclicArray:
-    """The least 2D rotation of a under the packed integer order."""
-    return CyclicArray._wrap(min(_packed_shifts(a)), a.rows, a.cols)
+    """The least 2D rotation of a under the packed integer order.
+
+    The packed order compares row r - 1 first, and row r - 1 of
+    shift2d(a, r - 1 - i, dh) is row i turned by dh. So the least
+    rotation puts on that row M, the least turn of any row, and only
+    the rotations that do so are scored: all r*t of them only when
+    every row reaches M at every turn, as the all-zero array does.
+    """
+    r, t = a.rows, a.cols
+    size, value, full = r * t, a._value, (1 << t) - 1
+    rows = [_least_turns(value >> k & full, t) for k in range(0, size, t)]
+    top = min(rows)[0]
+    whole = (1 << size) - 1
+    ones = whole // full  # bit 0 of every row
+    best = whole
+    for i, (least, turns) in enumerate(rows):
+        if least != top:
+            continue
+        v = _turn(value, (i + 1) * t, size)  # row i to row r - 1
+        for dh in turns:
+            wrap = ((1 << dh) - 1) * ones
+            v_dh = ((v << dh) & (whole ^ wrap)) | ((v >> (t - dh)) & wrap)
+            if v_dh < best:
+                best = v_dh
+    return CyclicArray._wrap(best, r, t)
 
 
 @dataclass(frozen=True)

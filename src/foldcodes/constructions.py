@@ -22,7 +22,6 @@ from .arraycode import (
     _turn,
     canonical2d,
     min_distance,
-    shift2d,
     verify,
 )
 from .folding import fold
@@ -258,12 +257,14 @@ def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, tail):
         notes.append(
             f"size mismatch: {len(arrays)} codewords, claimed {claimed}"
         )
-    # t is a power of two, so a period below t divides t/2; pmc-sd
-    # arrays never have one, as column c + l complements column c
-    aperiodic = [a for a in arrays if shift2d(a, 0, t // 2) == a]
-    if aperiodic:
+    # t is a power of two, so a period below t divides t/2, and an array
+    # has one when the two halves of each row agree; pmc-sd arrays never
+    # do, as column c + l complements column c
+    low = _repeat((1 << t // 2) - 1, t, r * t)  # the low half of each row
+    periodic = [v for v in classes if v & low == (v >> t // 2) & low]
+    if periodic:
         notes.append(
-            f"{len(aperiodic)} codewords have horizontal period below {t}"
+            f"{len(periodic)} codewords have horizontal period below {t}"
         )
     code = ArrayCode("DBAC", r, t, n, ell, arrays)
     rep = verify(code)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 
 from .arraycode import (
-    _flags_cover, _minimal_period, _repeat, _turn, _window_keys
+    _flags_cover, _is_binary, _minimal_period, _repeat, _turn, _window_keys
 )
 from .gf2poly import (
     _MAX_DEGREE, Gf2Poly, _irreducible_order, _m_bits, is_irreducible
@@ -71,6 +71,8 @@ class CyclicSequence:
     __slots__ = ("_value", "_len", "_canon")
 
     def __init__(self, bits):
+        if isinstance(bits, str) and not _is_binary(bits):
+            raise ValueError("bits must be 0 or 1")
         bits = tuple(map(int, bits))
         if not bits:
             raise ValueError("a cyclic sequence needs at least one bit")

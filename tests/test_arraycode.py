@@ -272,12 +272,28 @@ def test_constructor_rejects_bad_input():
         CyclicArray([""])
 
 
+def test_string_rows_take_only_the_characters_0_and_1():
+    # int() reads any Unicode decimal digit; a row string may not
+    for rows in (["0\u06611", "1\u0660\u0661"], ["0\uff11"], ["01", "1 0"]):
+        with pytest.raises(ValueError, match="is not a bit"):
+            CyclicArray(rows)
+    assert CyclicArray(["011", "101"]).rowmasks == (0b110, 0b101)
+    assert CyclicArray([[0, 1, 1], (1, 0, 1)]).rowmasks == (0b110, 0b101)
+
+
 def parse_rows_oracle(rows):
-    """Row masks of CyclicArray(rows), or the error, cell by cell."""
+    """Row masks of CyclicArray(rows), or the error, cell by cell; a row
+    string holds only the characters 0 and 1."""
     masks, width = [], None
     try:
         for row in rows:
-            row = [int(c) for c in row] if isinstance(row, str) else list(row)
+            if isinstance(row, str):
+                for c in row:
+                    if c not in ("0", "1"):
+                        raise ValueError(f"cell value {c!r} is not a bit")
+                row = [int(c) for c in row]
+            else:
+                row = list(row)
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -504,6 +520,76 @@ def test_canonical2d_is_least_shift():
         c = canonical2d(a)
         assert c.packed() == min(all_shifts)
         assert canonical2d(shift2d(a, 1, 1)) == c
+
+
+def assert_least_rotation(a, dv, dh):
+    """canonical2d(a) is the literal least rotation, the least packed
+    value over every shift2d of a, and so is canonical2d of a rotation."""
+    c = canonical2d(a)
+    assert (c.rows, c.cols) == (a.rows, a.cols)
+    assert c.packed() == min(
+        shift2d(a, v, h).packed() for v in range(a.rows) for h in range(a.cols)
+    )
+    assert canonical2d(shift2d(a, dv, dh)) == c
+
+
+def turned_rows(words, picks, t):
+    """Rows that are turns of the given words (each of a length that
+    divides t, repeated out to t): row i is words[w] turned by k for
+    (w, k) = picks[i]."""
+    rows = []
+    for w, k in picks:
+        row = words[w] * (t // len(words[w]))
+        rows.append(row[k % t :] + row[: k % t])
+    return CyclicArray(rows)
+
+
+@st.composite
+def arrays_of_turned_words(draw):
+    """r x t arrays, r <= 9 and t <= 17, whose rows are turns of a few
+    words of one period p dividing t. One word makes every row share
+    one least turn, p < t gives rows of period below t, and many words
+    of length t give any array."""
+    r, t = draw(st.integers(1, 9)), draw(st.integers(1, 17))
+    p = draw(st.sampled_from([d for d in range(1, t + 1) if t % d == 0]))
+    word = st.text("01", min_size=p, max_size=p)
+    words = draw(st.lists(word, min_size=1, max_size=r))
+    pick = st.tuples(st.integers(0, len(words) - 1), st.integers(0, t - 1))
+    return turned_rows(words, draw(st.lists(pick, min_size=r, max_size=r)), t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays_of_turned_words(), st.integers(-20, 20), st.integers(-20, 20))
+def test_canonical2d_matches_the_literal_least_rotation(a, dv, dh):
+    assert_least_rotation(a, dv, dh)
+
+
+def test_canonical2d_matches_the_literal_least_rotation_on_seeded_cases():
+    rng = random.Random(41)
+    cases = []
+    for r, t in ((1, 1), (1, 2), (1, 17), (2, 1), (9, 1), (8, 8), (9, 17)):
+        cases += [
+            CyclicArray(["0" * t] * r),
+            CyclicArray(["1" * t] * r),
+            random_array(rng, r, t),
+            random_array(rng, 1, t),
+            random_array(rng, r, 1),
+        ]
+    picks = [(0, k) for k in (0, 3, 5, 1, 6, 2, 4, 0)]
+    # every row a turn of one word: all rows share one least turn
+    cases.append(turned_rows(["0010111"], picks, 7))
+    cases.append(turned_rows(["00010011"], picks, 8))
+    # rows of period below t, alone and beside full-period rows
+    cases.append(turned_rows(["01"], picks, 8))
+    cases.append(turned_rows(["0011", "0001"], [(0, 1), (1, 2), (0, 3)], 8))
+    picks = [(0, 1), (1, 3), (1, 6)]
+    cases.append(turned_rows(["0001", "00101101"], picks, 8))
+    cases.append(turned_rows(["001", "011010001"], picks, 9))
+    cases.append(turned_rows(["0", "1"], [(0, 0), (1, 0), (0, 0)], 4))
+    for a in cases:
+        for _ in range(3):
+            dv, dh = rng.randrange(-9, 10), rng.randrange(-17, 18)
+            assert_least_rotation(a, dv, dh)
 
 
 # ----------------------------------------------------------------- verify

@@ -18,6 +18,7 @@ from foldcodes.arraycode import (
     CyclicArray,
     canonical2d,
     min_distance,
+    shift2d,
     verify,
 )
 from foldcodes.constructions import (
@@ -399,9 +400,10 @@ def _literal_words(pf, m, which):
 
 def _literal_composition(pf, m, which):
     """Nested-tuple columns, then CyclicArray(rows), then the set of
-    canonical 2D rotations (packed)."""
+    least 2D rotations (packed), each the minimum over every shift2d of
+    a word; a word among the rotations already seen adds nothing."""
     r = 1 << pf.subdegree
-    classes = set()
+    classes, seen = set(), set()
     cycles = [c.bits for c in pf.cycles]
     for word in _literal_words(pf, m, which):
         cols = [
@@ -409,7 +411,14 @@ def _literal_composition(pf, m, which):
             for i, j, bar in word
         ]
         a = CyclicArray([[col[u] for col in cols] for u in range(r)])
-        classes.add(canonical2d(a).packed())
+        if a.packed() not in seen:
+            rotations = {
+                shift2d(a, dv, dh).packed()
+                for dv in range(a.rows)
+                for dh in range(a.cols)
+            }
+            seen |= rotations
+            classes.add(min(rotations))
     return classes
 
 

@@ -94,11 +94,17 @@ def test_constructor_rejects_bad_input():
     for empty in ([], "", ()):
         with pytest.raises(ValueError, match="at least one bit"):
             CyclicSequence(empty)
-    for bad in ([0, 2], "012", (1, -1)):
+    for bad in ([0, 2], "012", (1, -1), "01a"):
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
             CyclicSequence(bad)
-    with pytest.raises(ValueError, match="invalid literal"):
-        CyclicSequence("01a")
+
+
+def test_string_bits_take_only_the_characters_0_and_1():
+    # int() reads any Unicode decimal digit; a bit string may not
+    for bad in ("0\u06611", "\u0660\u0661", "0\uff11", "0 1"):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            CyclicSequence(bad)
+    assert CyclicSequence("011").bits == CyclicSequence([0, 1, 1]).bits
 
 
 def test_equality_up_to_rotation():
