@@ -6,9 +6,12 @@ Every index wraps, so (i, j) always means (i mod r, j mod t). Equality
 is exact cell-wise, shape included; canonical2d gives a distinguished
 2D rotation for set membership questions, the least packed one. As the
 packed order compares row r - 1 first, it takes each row's least turn
-(cached by row and width) and scores only the rotations that put the
-least of these on row r - 1. _packed_shifts, which yields every
-rotation, serves only _positioned and the tests.
+and scores only the rotations that put the least of these on row r - 1.
+Rows of 8 bits are bytes, and one translate reads their least turns;
+other rows are read one at a time, cached by row and width. The masks
+that turn every row at once are kept per shape, each built on its first
+use. _packed_shifts, which yields every rotation, serves only
+_positioned and the tests.
 
 Array code kinds:
 
@@ -213,6 +216,23 @@ def _least_turns(row: int, t: int) -> tuple:
     return least, tuple(dh for dh, turn in enumerate(turns) if turn == least)
 
 
+@lru_cache(maxsize=None)
+def _byte_turns() -> tuple:
+    """_least_turns of every 8-bit row: the least turns as a translate
+    table of 256 bytes, and the list of the turns that reach them."""
+    turns = [_least_turns(row, 8) for row in range(256)]
+    return bytes(least for least, _ in turns), [reach for _, reach in turns]
+
+
+@lru_cache(maxsize=16)
+def _shape(r: int, t: int) -> tuple:
+    """The r x t masks canonical2d turns rows with: all cells, bit 0 of
+    every row, and per turn dh the cells that keep their row place and
+    those that wrap to its start, each pair built on its first use."""
+    whole = (1 << r * t) - 1
+    return whole, whole // ((1 << t) - 1), [None] * t
+
+
 def canonical2d(a: CyclicArray) -> CyclicArray:
     """The least 2D rotation of a under the packed integer order.
 
@@ -221,21 +241,36 @@ def canonical2d(a: CyclicArray) -> CyclicArray:
     rotation puts on that row M, the least turn of any row, and only
     the rotations that do so are scored: all r*t of them only when
     every row reaches M at every turn, as the all-zero array does.
+    Rows of 8 bits are the bytes of the packed value, so one translate
+    reads all their least turns; other rows are read one at a time.
     """
     r, t = a.rows, a.cols
-    size, value, full = r * t, a._value, (1 << t) - 1
-    rows = [_least_turns(value >> k & full, t) for k in range(0, size, t)]
-    top = min(rows)[0]
-    whole = (1 << size) - 1
-    ones = whole // full  # bit 0 of every row
+    size, value = r * t, a._value
+    # reach[keys[i]] holds the turns that take row i to its least turn
+    if t == 8:
+        least, reach = _byte_turns()
+        keys = value.to_bytes(r, "little")  # row i is byte i
+        leasts = keys.translate(least)
+    else:
+        full = (1 << t) - 1
+        turns = [_least_turns(value >> k & full, t) for k in range(0, size, t)]
+        leasts, reach = zip(*turns)
+        keys = range(r)
+    top = min(leasts)
+    whole, ones, masks = _shape(r, t)
+    twice = value | value << size  # each vertical turn is one slice of it
     best = whole
-    for i, (least, turns) in enumerate(rows):
-        if least != top:
-            continue
-        v = _turn(value, (i + 1) * t, size)  # row i to row r - 1
-        for dh in turns:
-            wrap = ((1 << dh) - 1) * ones
-            v_dh = ((v << dh) & (whole ^ wrap)) | ((v >> (t - dh)) & wrap)
+    i = -1
+    for _ in range(leasts.count(top)):
+        i = leasts.index(top, i + 1)
+        v = twice >> (i + 1) * t & whole  # row i to row r - 1
+        for dh in reach[keys[i]]:
+            pair = masks[dh]
+            if pair is None:
+                wrap = ((1 << dh) - 1) * ones
+                pair = masks[dh] = (whole ^ wrap, wrap)
+            keep, wrap = pair
+            v_dh = (v << dh & keep) | (v >> (t - dh) & wrap)
             if v_dh < best:
                 best = v_dh
     return CyclicArray._wrap(best, r, t)

@@ -10,10 +10,8 @@ passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
 from math import gcd
-from operator import xor
+from operator import getitem
 
 from .arraycode import (
     ArrayCode,
@@ -198,14 +196,25 @@ def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, tail):
     pmc-sd complements column c for every c. So each class of words is
     visited once, from its first unmarked head. Only that word is built
     and collapsed to its canonical 2D rotation, and the heads of its
-    rotations are marked, by small-int work on the ids, one byte per
-    head. The dedup of the kept arrays by packed value keeps the result
-    exact. Words of more than _WORD_CELLS cells in all are refused
-    before the first is built.
+    rotations are marked, one byte per head. The dedup of the kept
+    arrays by packed value keeps the result exact. Words of more than
+    _WORD_CELLS cells in all are refused before the first is built.
+
+    The loop sees ids only, through tables built once per call, so a
+    column costs a list read and no tuple or divmod. tail(head, comp)
+    maps the head's ids to the ids of the columns after it, comp[x]
+    being the id of plain column x complemented. at[c][x] is column x's
+    mask moved to column c, and a word packs as their sum. The head of
+    the rotation that starts at a plain column x = i*r + j0 has the
+    index sum(rel[j0][c][y]) over its columns y: rel[j0][c] turns a
+    plain id down by j0 and moves it into field c of the index, and
+    gives every other id -words, below any sum of the fields, so a
+    negative index means that rotation is no word.
     """
-    n, r = pf.order, 1 << pf.subdegree
+    n, k = pf.order, pf.subdegree
+    r, low = 1 << k, (1 << k) - 1
     # a head's index holds i_0, then the n-bit ids i_c*r + j_c, 0 < c < l
-    words = 1 << (n * ell - pf.subdegree)
+    words = 1 << (n * ell - k)
     if words * r * t > _WORD_CELLS:
         raise ValueError(
             f"composition of {words} words of {r}x{t} cells exceeds "
@@ -213,41 +222,42 @@ def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, tail):
         )
     plain = 1 << n  # the ids of plain columns, i*r + j
     ones = _repeat(1, t, r * t)  # bit u*t for every row u
-    turned = {}
-    for i, cycle in enumerate(pf.cycles):
+    columns = []
+    for cycle in pf.cycles:
         # bit u of the cycle moves to bit u*t, t - 1 zero digits apart
         base = int(("0" * (t - 1)).join(format(cycle.packed(), f"0{r}b")), 2)
-        for j in range(r):
-            turned[i, j] = _turn(base, j * t, r * t)
-    id_of, ids = {}, {}
-    for bar in (0, 1):
-        for (i, j), col in turned.items():
-            ids[i, j, bar] = id_of.setdefault(col ^ bar * ones, len(id_of))
+        columns += [_turn(base, j * t, r * t) for j in range(r)]
+    id_of = {}
+    for col in columns + [col ^ ones for col in columns]:
+        id_of.setdefault(col, len(id_of))
     masks = list(id_of)
+    comp = [id_of[col ^ ones] for col in columns]
+    at = [[mask << c for mask in masks] for c in range(t)]
+    fields = [n * c for c in range(ell - 1, -1, -1)]
+    wide = [-words] * (len(masks) - plain)  # the ids of no plain column
+    ids = range(plain)
+    first = [(x >> k) << fields[0] for x in ids]
+    rel = []
+    for j0 in range(r):
+        down = [x & -r | (x - j0) & low for x in ids]  # (i, j) to (i, j - j0)
+        shifted = [[x << f for x in down] + wide for f in fields[1:]]
+        rel.append([first] + shifted)
     marked = bytearray(words)
     classes = {}
     index = 0
     while index >= 0:
-        word = [index >> (n * (ell - 1)) << pf.subdegree] + [
-            index >> (n * c) & (plain - 1) for c in range(ell - 2, -1, -1)
-        ]
-        word += [ids[key] for key in tail([divmod(x, r) for x in word])]
-        packed = 0
-        for c, x in enumerate(word):
-            packed |= masks[x] << c
-        a = canonical2d(CyclicArray._wrap(packed, r, t))
+        head = [index >> fields[0] << k]
+        head += [index >> f & (plain - 1) for f in fields[1:]]
+        word = head + tail(head, comp)
+        a = canonical2d(CyclicArray._wrap(sum(map(getitem, at, word)), r, t))
         classes.setdefault(a.packed(), a)
         twice = word + word
         for dh in range(1, t):
-            if twice[dh] >= plain:
-                continue
-            key, j0 = divmod(twice[dh], r)
-            for x in twice[dh + 1 : dh + ell]:
-                if x >= plain:
-                    break
-                key = key << n | x & -r | (x - j0) % r
-            else:
-                marked[key] = 1
+            x = twice[dh]
+            if x < plain:
+                key = sum(map(getitem, rel[x & low], twice[dh : dh + ell]))
+                if key >= 0:
+                    marked[key] = 1
         index = marked.find(0, index + 1)
     arrays = tuple(classes[key] for key in sorted(classes))
 
@@ -301,10 +311,10 @@ def construct_pmc_odd(pf: PerfectFactor, m: int) -> ConstructionReport:
     r = 1 << k
     q = 1 << (n - k)
 
-    def tail(head):
+    def tail(head, comp):
         # sum i_r = 1 over 1-based indices is sum i_r = -l over 0-based
-        i_last = (-ell - sum(i for i, _ in head)) % q
-        return [(i_last, -sum(j for _, j in head) % r, 0)]
+        i_last = (-ell - sum(x >> k for x in head)) % q
+        return [i_last * r + -sum(x & (r - 1) for x in head) % r]
 
     return _compose(pf, ell, ell + 1, size_exp, tail)
 
@@ -326,8 +336,8 @@ def construct_pmc_sd(pf: PerfectFactor, m: int) -> ConstructionReport:
             "is not an integer"
         )
 
-    def tail(head):
-        return [(i, j, 1) for i, j in head]
+    def tail(head, comp):
+        return [comp[x] for x in head]
 
     return _compose(pf, ell, 2 * ell, size_exp, tail)
 
@@ -335,6 +345,15 @@ def construct_pmc_sd(pf: PerfectFactor, m: int) -> ConstructionReport:
 # ---------------------------------------------------------------------
 # order-raising recursion on columns
 # ---------------------------------------------------------------------
+
+
+def _row_prefix(value: int, r: int, t: int) -> int:
+    """The packed r x t array whose row u is the XOR of rows 0..u of the
+    array value: XOR-ing in its copies moved up t, 2t, 4t, ... bits,
+    ceil(log2 r) times, doubles the rows each sum covers."""
+    for s in range((r - 1).bit_length()):
+        value ^= value << (t << s)
+    return value & ((1 << r * t) - 1)
 
 
 def construct_db_pmc_direct(
@@ -365,14 +384,18 @@ def construct_db_pmc_direct(
     # that gives each column's preimage with first bit 0; the other one is
     # its complement, so XOR-ing the selector bits into every row chooses
     # per column. Even column weight makes the sums close around the wrap.
+    # Row r - 1 of the row prefix is the XOR of every row, the columns of
+    # odd weight, and the prefix moved up one row is the base, its row u
+    # the XOR of input rows 0..u - 1.
+    size = r * t
     bases = []
     for idx, a in enumerate(code.arrays):
-        odd = reduce(xor, a.rowmasks)
+        prefix = _row_prefix(a.packed(), r, t)
+        odd = prefix >> (size - t)
         if odd:
             j = (odd & -odd).bit_length() - 1
             raise PreconditionError(f"array {idx} column {j} has odd weight")
-        base = accumulate(a.rowmasks[:-1], xor, initial=0)
-        bases.append(CyclicArray.from_rowmasks(base, t).packed())
+        bases.append(prefix << t & ((1 << size) - 1))
     if seed_poly is not None:
         if seed_poly.degree != m:
             raise PreconditionError(

@@ -248,8 +248,10 @@ def generate_cycles(f: Gf2Poly) -> SequenceFamily:
             value = int(bytearray(bits).translate(_TO_TEXT)[::-1], 2)
             cycles.append(CyclicSequence._known(value, len(bits), value))
             start = seen.find(0, start)
-    # the digits order the members as their bit tuples would
-    cycles.sort(key=CyclicSequence.digits)
+    # the digits order the members as their bit tuples would; one member
+    # needs no order, and its digits would cost a pass over its text
+    if len(cycles) > 1:
+        cycles.sort(key=CyclicSequence.digits)
     lengths = {len(c) for c in cycles}
     return SequenceFamily(
         order=n,

@@ -592,6 +592,51 @@ def test_canonical2d_matches_the_literal_least_rotation_on_seeded_cases():
             assert_least_rotation(a, dv, dh)
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9), st.integers(1, 17), st.randoms(use_true_random=False)
+)
+def test_canonical2d_reads_each_shape_from_its_own_masks(r, t, rng):
+    """canonical2d keeps its turn masks per shape. Shapes come in turn:
+    r x t, then t x r, then every other shape of r*t cells, then r x t
+    again, each against the literal least rotation, so masks kept under
+    a key that two of these shapes share turn some row wrongly. Half the
+    arrays turn one word in every row, so every row is a candidate."""
+    size = r * t
+    others = [(d, size // d) for d in range(1, size + 1) if size % d == 0]
+    shapes = [(r, t), (t, r)] + others + [(r, t)]
+    for rows, cols in shapes:
+        word = "".join(rng.choice("01") for _ in range(cols))
+        picks = [(0, rng.randrange(cols)) for _ in range(rows)]
+        tied = turned_rows([word], picks, cols)
+        for a in (random_array(rng, rows, cols), tied):
+            assert_least_rotation(a, rng.randrange(rows), rng.randrange(cols))
+
+
+def test_canonical2d_on_eight_by_four_arrays_with_zero_rows():
+    """8 x 4 arrays with zero rows, whose least row turn 0 every zero
+    row reaches at every turn, beside the rows of pmc-sd with m = 1
+    (a, b, not a, not b), which all share one least turn."""
+    rng = random.Random(112)
+    sd_rows = ["0011", "0110", "1100", "1001"]
+    for zeros in range(9):
+        for _ in range(6):
+            rows = [rng.choice(sd_rows) for _ in range(8)]
+            for i in rng.sample(range(8), zeros):
+                rows[i] = "0000"
+            a = CyclicArray(rows)
+            assert_least_rotation(a, rng.randrange(8), rng.randrange(4))
+            b = random_array(rng, 8, 4)
+            b = CyclicArray(
+                [
+                    "0000" if i < zeros else row
+                    for i, row in enumerate(b.row_strings())
+                ]
+            )
+            assert_least_rotation(b, rng.randrange(8), rng.randrange(4))
+
+
 # ----------------------------------------------------------------- verify
 
 

@@ -8,10 +8,14 @@ not copied from the constructions themselves.
 import contextlib
 import dataclasses
 import os
-from itertools import product
+from functools import reduce
+from itertools import accumulate, product
+from operator import xor
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldcodes.arraycode import (
     ArrayCode,
@@ -29,6 +33,7 @@ from foldcodes.constructions import (
     construct_db_pmc_direct,
     construct_pmc_odd,
     construct_pmc_sd,
+    _row_prefix,
     construct_prac_fold,
     experiment_exponent_family,
     experiment_product_fold,
@@ -591,6 +596,39 @@ def test_db_direct_rejections(base_8452):
         construct_db_pmc_direct(spm, 2)
     assert "full-coverage" in str(exc.value)
 
+
+
+def test_db_direct_names_the_first_odd_column():
+    """A verified (4,4;2,3) code whose arrays 0, 2 and 3 have columns of
+    even weight and whose array 1 has odd columns 2 and 3 (found by an
+    exact-cover search over 4 x 4 arrays): the refusal names array 1,
+    column 2."""
+    rows = (
+        ["1101", "0101", "1000", "0000"],
+        ["1001", "0100", "0110", "1000"],
+        ["1010", "1101", "1111", "1000"],
+        ["1011", "1001", "1110", "1100"],
+    )
+    code = ArrayCode("DBAC", 4, 4, 2, 3, tuple(map(CyclicArray, rows)))
+    assert verify(code).ok
+    with pytest.raises(PreconditionError) as exc:
+        construct_db_pmc_direct(code, 2)
+    assert str(exc.value) == "array 1 column 2 has odd weight"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 17), st.data())
+def test_row_prefix_bases_match_the_literal_row_sums(r, t, data):
+    """db-direct's base, the row prefix moved up one row, is the literal
+    accumulate(rowmasks[:-1], xor, initial=0), and the prefix's top row
+    is the XOR of every row, for any r (powers of two or not) and t."""
+    value = data.draw(st.integers(0, (1 << r * t) - 1))
+    a = CyclicArray._wrap(value, r, t)
+    prefix = _row_prefix(value, r, t)
+    rows = accumulate(a.rowmasks[:-1], xor, initial=0)
+    base = CyclicArray.from_rowmasks(rows, t).packed()
+    assert prefix << t & ((1 << r * t) - 1) == base
+    assert prefix >> (r - 1) * t == reduce(xor, a.rowmasks)
 
 def test_db_direct_oracle_failure_is_flagged(base_8452, monkeypatch):
     """If the produced code ever failed verification the report must
