@@ -6,12 +6,10 @@ Every index wraps, so (i, j) always means (i mod r, j mod t). Equality
 is exact cell-wise, shape included; canonical2d gives a distinguished
 2D rotation for set membership questions, the least packed one. As the
 packed order compares row r - 1 first, it takes each row's least turn
-and scores only the rotations that put the least of these on row r - 1.
-Rows of 8 bits are bytes, and one translate reads their least turns;
-other rows are read one at a time, cached by row and width. The masks
-that turn every row at once are kept per shape, each built on its first
-use. _packed_shifts, which yields every rotation, serves only
-_positioned and the tests.
+(cached by row and width) and scores only the rotations that put the
+least of these on row r - 1. The masks that turn every row at once are
+kept per shape, each built on its first use. _packed_shifts, which
+yields every rotation, serves only _positioned and the tests.
 
 Array code kinds:
 
@@ -216,14 +214,6 @@ def _least_turns(row: int, t: int) -> tuple:
     return least, tuple(dh for dh, turn in enumerate(turns) if turn == least)
 
 
-@lru_cache(maxsize=None)
-def _byte_turns() -> tuple:
-    """_least_turns of every 8-bit row: the least turns as a translate
-    table of 256 bytes, and the list of the turns that reach them."""
-    turns = [_least_turns(row, 8) for row in range(256)]
-    return bytes(least for least, _ in turns), [reach for _, reach in turns]
-
-
 @lru_cache(maxsize=16)
 def _shape(r: int, t: int) -> tuple:
     """The r x t masks canonical2d turns rows with: all cells, bit 0 of
@@ -241,21 +231,11 @@ def canonical2d(a: CyclicArray) -> CyclicArray:
     rotation puts on that row M, the least turn of any row, and only
     the rotations that do so are scored: all r*t of them only when
     every row reaches M at every turn, as the all-zero array does.
-    Rows of 8 bits are the bytes of the packed value, so one translate
-    reads all their least turns; other rows are read one at a time.
     """
     r, t = a.rows, a.cols
-    size, value = r * t, a._value
-    # reach[keys[i]] holds the turns that take row i to its least turn
-    if t == 8:
-        least, reach = _byte_turns()
-        keys = value.to_bytes(r, "little")  # row i is byte i
-        leasts = keys.translate(least)
-    else:
-        full = (1 << t) - 1
-        turns = [_least_turns(value >> k & full, t) for k in range(0, size, t)]
-        leasts, reach = zip(*turns)
-        keys = range(r)
+    size, value, full = r * t, a._value, (1 << t) - 1
+    turns = [_least_turns(value >> k & full, t) for k in range(0, size, t)]
+    leasts, reach = zip(*turns)  # reach[i]: the turns giving row i its least
     top = min(leasts)
     whole, ones, masks = _shape(r, t)
     twice = value | value << size  # each vertical turn is one slice of it
@@ -264,7 +244,7 @@ def canonical2d(a: CyclicArray) -> CyclicArray:
     for _ in range(leasts.count(top)):
         i = leasts.index(top, i + 1)
         v = twice >> (i + 1) * t & whole  # row i to row r - 1
-        for dh in reach[keys[i]]:
+        for dh in reach[i]:
             pair = masks[dh]
             if pair is None:
                 wrap = ((1 << dh) - 1) * ones

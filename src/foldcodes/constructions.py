@@ -9,6 +9,7 @@ passes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import gcd
 from operator import getitem
@@ -187,8 +188,9 @@ def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, tail):
     Columns are packed with cell u at bit u*t, so an array's packed form,
     the integer that is the array, is the OR of its columns shifted into
     place. Each distinct column mask gets an id, and plain (i, j) gets
-    i*r + j. The cycles of a valid factor have full period r and are not
-    rotations of one another, so the plain masks differ. A 2D rotation
+    j*q + i (q = 2^(n - k) cycles), any other mask a negative id. The
+    cycles of a valid factor have full period r and are not rotations
+    of one another, so the plain masks differ. A 2D rotation
     of an array is then a word only through the one vertical turn that
     makes its first column plain at j = 0, and its first l columns read
     back as one head. tail must keep every such rotation a word: the
@@ -201,61 +203,63 @@ def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, tail):
     _WORD_CELLS cells in all are refused before the first is built.
 
     The loop sees ids only, through tables built once per call, so a
-    column costs a list read and no tuple or divmod. tail(head, comp)
+    column costs a table read and no tuple or divmod. tail(head, comp)
     maps the head's ids to the ids of the columns after it, comp[x]
     being the id of plain column x complemented. at[c][x] is column x's
-    mask moved to column c, and a word packs as their sum. The head of
-    the rotation that starts at a plain column x = i*r + j0 has the
-    index sum(rel[j0][c][y]) over its columns y: rel[j0][c] turns a
-    plain id down by j0 and moves it into field c of the index, and
-    gives every other id -words, below any sum of the fields, so a
-    negative index means that rotation is no word.
+    mask moved to column c, and a word packs as their sum. A head's
+    index holds its ids in n-bit fields, i_0 (the id of (i_0, 0)) on
+    top. Turning a plain id down by j0 subtracts j0*q modulo 2^n, so
+    down[j0][c] is a view, from entry 2^n - j0*q on, of one table per
+    field c, which holds the field of every plain id twice over:
+    down[j0][c][x] is the field of x turned down by j0. The table ends
+    in -words, read at the negative ids whatever j0 is, and below any
+    sum of fields, so a negative index means that rotation is no word.
+    The tables hold O(l * 2^n) entries whatever r is.
     """
     n, k = pf.order, pf.subdegree
-    r, low = 1 << k, (1 << k) - 1
-    # a head's index holds i_0, then the n-bit ids i_c*r + j_c, 0 < c < l
+    r, q = 1 << k, 1 << (n - k)
     words = 1 << (n * ell - k)
     if words * r * t > _WORD_CELLS:
         raise ValueError(
             f"composition of {words} words of {r}x{t} cells exceeds "
             "the cap of 2^24 cells"
         )
-    plain = 1 << n  # the ids of plain columns, i*r + j
+    plain = 1 << n  # the ids of plain columns, j*q + i
     ones = _repeat(1, t, r * t)  # bit u*t for every row u
-    columns = []
-    for cycle in pf.cycles:
+    bases = [
         # bit u of the cycle moves to bit u*t, t - 1 zero digits apart
-        base = int(("0" * (t - 1)).join(format(cycle.packed(), f"0{r}b")), 2)
-        columns += [_turn(base, j * t, r * t) for j in range(r)]
-    id_of = {}
-    for col in columns + [col ^ ones for col in columns]:
-        id_of.setdefault(col, len(id_of))
-    masks = list(id_of)
+        int(("0" * (t - 1)).join(format(cycle.packed(), f"0{r}b")), 2)
+        for cycle in pf.cycles
+    ]
+    columns = [_turn(base, j * t, r * t) for j in range(r) for base in bases]
+    id_of = {col: x for x, col in enumerate(columns)}
+    for col in columns:
+        id_of.setdefault(col ^ ones, plain - 1 - len(id_of))
+    wide = list(id_of)[plain:]  # the masks of ids -1, -2, ...
     comp = [id_of[col ^ ones] for col in columns]
-    at = [[mask << c for mask in masks] for c in range(t)]
+    at = [[mask << c for mask in columns + wide[::-1]] for c in range(t)]
     fields = [n * c for c in range(ell - 1, -1, -1)]
-    wide = [-words] * (len(masks) - plain)  # the ids of no plain column
     ids = range(plain)
-    first = [(x >> k) << fields[0] for x in ids]
-    rel = []
-    for j0 in range(r):
-        down = [x & -r | (x - j0) & low for x in ids]  # (i, j) to (i, j - j0)
-        shifted = [[x << f for x in down] + wide for f in fields[1:]]
-        rel.append([first] + shifted)
+    last = [-words] * len(wide)  # read for the negative ids
+    tables = [
+        memoryview(array("q", [x << f for x in ids] * 2 + last))
+        for f in fields
+    ]
+    down = [[table[plain - j0 * q :] for table in tables] for j0 in range(r)]
+    shift = n - k  # x >> shift is the j of a plain id x
     marked = bytearray(words)
     classes = {}
     index = 0
     while index >= 0:
-        head = [index >> fields[0] << k]
-        head += [index >> f & (plain - 1) for f in fields[1:]]
+        head = [index >> f & (plain - 1) for f in fields]
         word = head + tail(head, comp)
         a = canonical2d(CyclicArray._wrap(sum(map(getitem, at, word)), r, t))
         classes.setdefault(a.packed(), a)
         twice = word + word
         for dh in range(1, t):
             x = twice[dh]
-            if x < plain:
-                key = sum(map(getitem, rel[x & low], twice[dh : dh + ell]))
+            if x >= 0:
+                key = sum(map(getitem, down[x >> shift], twice[dh : dh + ell]))
                 if key >= 0:
                     marked[key] = 1
         index = marked.find(0, index + 1)
@@ -313,8 +317,8 @@ def construct_pmc_odd(pf: PerfectFactor, m: int) -> ConstructionReport:
 
     def tail(head, comp):
         # sum i_r = 1 over 1-based indices is sum i_r = -l over 0-based
-        i_last = (-ell - sum(x >> k for x in head)) % q
-        return [i_last * r + -sum(x & (r - 1) for x in head) % r]
+        i_last = (-ell - sum(x & (q - 1) for x in head)) % q
+        return [-sum(x >> (n - k) for x in head) % r * q + i_last]
 
     return _compose(pf, ell, ell + 1, size_exp, tail)
 

@@ -592,7 +592,6 @@ def test_canonical2d_matches_the_literal_least_rotation_on_seeded_cases():
             assert_least_rotation(a, dv, dh)
 
 
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 9), st.integers(1, 17), st.randoms(use_true_random=False)

@@ -597,7 +597,6 @@ def test_db_direct_rejections(base_8452):
     assert "full-coverage" in str(exc.value)
 
 
-
 def test_db_direct_names_the_first_odd_column():
     """A verified (4,4;2,3) code whose arrays 0, 2 and 3 have columns of
     even weight and whose array 1 has odd columns 2 and 3 (found by an
@@ -629,6 +628,7 @@ def test_row_prefix_bases_match_the_literal_row_sums(r, t, data):
     base = CyclicArray.from_rowmasks(rows, t).packed()
     assert prefix << t & ((1 << r * t) - 1) == base
     assert prefix >> (r - 1) * t == reduce(xor, a.rowmasks)
+
 
 def test_db_direct_oracle_failure_is_flagged(base_8452, monkeypatch):
     """If the produced code ever failed verification the report must
