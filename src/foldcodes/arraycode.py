@@ -7,9 +7,8 @@ is exact cell-wise, shape included; canonical2d gives a distinguished
 2D rotation for set membership questions, the least packed one. As the
 packed order compares row r - 1 first, it takes each row's least turn
 (cached by row and width) and scores only the rotations that put the
-least of these on row r - 1. The masks that turn every row at once are
-kept per shape, each built on its first use. _packed_shifts, which
-yields every rotation, serves only _positioned and the tests.
+least of these on row r - 1. _packed_shifts, which yields every
+rotation, serves only _positioned and the tests.
 
 Array code kinds:
 
@@ -47,7 +46,8 @@ scanned pairwise, up to 1024 words.
 Every window key, of codes and of lfsr's sequences alike, comes from
 _window_keys, which builds the keys of many arrays at once. The cells
 of a batch, read from their binary digits, become one integer with a
-cell in every slot of 1, 2, 4 or 8 bytes, as wide as a key. Shifts of
+cell in every slot of 1, 2 or 4 bytes, as wide as a key: a key holds
+at most _MAX_WINDOW = 32 cells, the cap verify enforces. Shifts of
 the whole integer turn every row at once (with masks of repeated bytes
 for the cells that wrap) and move it by whole rows, about 2*log2(n*m)
 times, and one to_bytes reads the keys back into an array. A batch
@@ -73,7 +73,7 @@ _NOT_DIGITS = str.maketrans("", "", "01")
 _MAX_WINDOW = 32  # largest n*m whose windows verify enumerates
 _BATCH_CELLS = 1 << 14  # most key cells that _window_keys builds at once
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+_TYPECODES = {array(code).itemsize: code for code in "IHB"}
 
 
 def _is_binary(text: str) -> bool:
@@ -214,15 +214,6 @@ def _least_turns(row: int, t: int) -> tuple:
     return least, tuple(dh for dh, turn in enumerate(turns) if turn == least)
 
 
-@lru_cache(maxsize=16)
-def _shape(r: int, t: int) -> tuple:
-    """The r x t masks canonical2d turns rows with: all cells, bit 0 of
-    every row, and per turn dh the cells that keep their row place and
-    those that wrap to its start, each pair built on its first use."""
-    whole = (1 << r * t) - 1
-    return whole, whole // ((1 << t) - 1), [None] * t
-
-
 def canonical2d(a: CyclicArray) -> CyclicArray:
     """The least 2D rotation of a under the packed integer order.
 
@@ -237,7 +228,8 @@ def canonical2d(a: CyclicArray) -> CyclicArray:
     turns = [_least_turns(value >> k & full, t) for k in range(0, size, t)]
     leasts, reach = zip(*turns)  # reach[i]: the turns giving row i its least
     top = min(leasts)
-    whole, ones, masks = _shape(r, t)
+    whole = (1 << size) - 1
+    ones = whole // full  # bit 0 of every row
     twice = value | value << size  # each vertical turn is one slice of it
     best = whole
     i = -1
@@ -245,12 +237,8 @@ def canonical2d(a: CyclicArray) -> CyclicArray:
         i = leasts.index(top, i + 1)
         v = twice >> (i + 1) * t & whole  # row i to row r - 1
         for dh in reach[i]:
-            pair = masks[dh]
-            if pair is None:
-                wrap = ((1 << dh) - 1) * ones
-                pair = masks[dh] = (whole ^ wrap, wrap)
-            keep, wrap = pair
-            v_dh = (v << dh & keep) | (v >> (t - dh) & wrap)
+            wrap = ((1 << dh) - 1) * ones
+            v_dh = (v << dh & (whole ^ wrap)) | (v >> (t - dh) & wrap)
             if v_dh < best:
                 best = v_dh
     return CyclicArray._wrap(best, r, t)
@@ -305,6 +293,16 @@ def _repeat(value: int, length: int, size: int) -> int:
     """The length-bit value repeated out to size bits; length divides size."""
     # v * (2^L - 1) / (2^l - 1) repeats the l bits of v out to L bits
     return value * (((1 << size) - 1) // ((1 << length) - 1))
+
+
+def _prefix_xor(value: int, count: int, stride: int) -> int:
+    """The count parts of stride bits of value, part u (bits u*stride
+    on) replaced by the XOR of parts 0..u: XOR-ing in copies moved up
+    stride, 2*stride, 4*stride, ... bits, ceil(log2 count) times,
+    doubles the parts each XOR covers."""
+    for s in range((count - 1).bit_length()):
+        value ^= value << (stride << s)
+    return value & ((1 << count * stride) - 1)
 
 
 def _minimal_period(value: int, n: int) -> int:
@@ -467,15 +465,18 @@ def _closure(code: ArrayCode, ideal, covered: bool):
 
 def _window_keys(values, r: int, t: int, n: int, m: int):
     """Yield the key of the n x m window at every anchor of the r x t
-    arrays whose packed forms are values, one `array` per batch (a list
-    for keys wider than 64 cells): arrays in order, anchors row-major,
-    the window's cells row-major with the first most significant.
+    arrays whose packed forms are values, one `array` per batch: arrays
+    in order, anchors row-major, the window's cells row-major with the
+    first most significant. A key wider than _MAX_WINDOW cells is
+    refused with ValueError.
 
     Whole arrays share a batch up to _BATCH_CELLS key cells; a larger
     array gives a batch per band of rows, and a longer row one per
     segment, widened by the m - 1 cells after it. Each unit of a batch
     carries the n - 1 rows after it, taken cyclically.
     """
+    if n * m > _MAX_WINDOW:
+        raise ValueError(f"window of {n * m} cells exceeds {_MAX_WINDOW}")
     cells, masks = r * t, {}
     spec = f"0{cells}b"
     if cells <= _BATCH_CELLS:
@@ -524,11 +525,11 @@ def _batch_keys(texts, w: int, count: int, n: int, m: int, masks: dict):
     its units, highest cell first, on rows of w cells, each giving the
     keys of its first count cells; unpadded rows (count a multiple of w)
     wrap around. masks keeps the turn masks for the batches of a call.
-    A cell gets a slot of `size` bytes, the fewest of 1, 2, 4 or 8 that
-    hold a key (more only for a key wider than 64 cells).
+    A cell gets a slot of `size` bytes, the fewest of 1, 2 or 4 that
+    hold a key of at most 32 cells.
     """
     nm = n * m
-    size = next((s for s in (1, 2, 4, 8) if 8 * s >= nm), -(-nm // 8))
+    size = next(s for s in (1, 2, 4) if 8 * s >= nm)
     text = "".join(reversed(texts))
     cells, bits = len(text), 8 * size
     spread = bytearray(cells * size)
@@ -549,14 +550,7 @@ def _batch_keys(texts, w: int, count: int, n: int, m: int, masks: dict):
     raw = memoryview(keys.to_bytes(cells * size, "little"))
     step, used = len(texts[0]) * size, count * size
     chunks = [raw[k : k + used] for k in range(0, len(raw), step)]
-    code = _TYPECODES.get(size)
-    if code is None:
-        return [
-            int.from_bytes(chunk[k : k + size], "little")
-            for chunk in chunks
-            for k in range(0, used, size)
-        ]
-    out = array(code)
+    out = array(_TYPECODES[size])
     for chunk in chunks:
         out.frombytes(chunk)
     if sys.byteorder == "big":

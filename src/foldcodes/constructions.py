@@ -17,6 +17,7 @@ from operator import getitem
 from .arraycode import (
     ArrayCode,
     CyclicArray,
+    _prefix_xor,
     _repeat,
     _turn,
     canonical2d,
@@ -167,15 +168,25 @@ def _pf_checked(pf: PerfectFactor) -> None:
 _WORD_CELLS = 1 << 24
 
 
-def _columns(n: int, m: int, odd: bool) -> int:
-    """The l data columns of a composition, 2^m - 1 for pmc-odd and 2^m
-    for pmc-sd, refused unless the n x l window has at most 24 cells.
-    As l >= 2^(m - 1), an m above 5 is refused before 2^m is formed."""
+def _columns(pf: PerfectFactor, m: int, odd: bool) -> tuple:
+    """(l, size_exp) of a composition of pf: l data columns, 2^m - 1 for
+    pmc-odd and 2^m for pmc-sd, refused unless the n x l window has at
+    most 24 cells, and the claimed size 2^size_exp, size_exp = n*l - k - m
+    (one less for pmc-sd), refused when negative. As l >= 2^(m - 1), an
+    m above 5 is refused before 2^m is formed."""
+    n, k = pf.order, pf.subdegree
     if m < 1:
         raise ValueError("m must be positive")
     if m > 5 or n * ((1 << m) - odd) > 24:
         raise ValueError("window size capped at 24 bits")
-    return (1 << m) - odd
+    ell = (1 << m) - odd
+    size_exp = n * ell - k - m - (not odd)
+    if size_exp < 0:
+        raise PreconditionError(
+            f"degenerate parameters: claimed size 2^{size_exp} "
+            "is not an integer"
+        )
+    return ell, size_exp
 
 
 def _compose(pf: PerfectFactor, ell: int, t: int, size_exp: int, tail):
@@ -303,13 +314,7 @@ def construct_pmc_odd(pf: PerfectFactor, m: int) -> ConstructionReport:
     """
     _pf_checked(pf)
     n, k = pf.order, pf.subdegree
-    ell = _columns(n, m, odd=True)
-    size_exp = n * ell - k - m
-    if size_exp < 0:
-        raise PreconditionError(
-            f"degenerate parameters: claimed size 2^{size_exp} "
-            "is not an integer"
-        )
+    ell, size_exp = _columns(pf, m, odd=True)
     if m < k:
         raise PreconditionError(f"requires m >= k (m={m}, k={k})")
     r = 1 << k
@@ -331,14 +336,7 @@ def construct_pmc_sd(pf: PerfectFactor, m: int) -> ConstructionReport:
     code of size 2^{nl-k-m-1}.
     """
     _pf_checked(pf)
-    n, k = pf.order, pf.subdegree
-    ell = _columns(n, m, odd=False)
-    size_exp = n * ell - k - m - 1
-    if size_exp < 0:
-        raise PreconditionError(
-            f"degenerate parameters: claimed size 2^{size_exp} "
-            "is not an integer"
-        )
+    ell, size_exp = _columns(pf, m, odd=False)
 
     def tail(head, comp):
         return [comp[x] for x in head]
@@ -349,15 +347,6 @@ def construct_pmc_sd(pf: PerfectFactor, m: int) -> ConstructionReport:
 # ---------------------------------------------------------------------
 # order-raising recursion on columns
 # ---------------------------------------------------------------------
-
-
-def _row_prefix(value: int, r: int, t: int) -> int:
-    """The packed r x t array whose row u is the XOR of rows 0..u of the
-    array value: XOR-ing in its copies moved up t, 2t, 4t, ... bits,
-    ceil(log2 r) times, doubles the rows each sum covers."""
-    for s in range((r - 1).bit_length()):
-        value ^= value << (t << s)
-    return value & ((1 << r * t) - 1)
 
 
 def construct_db_pmc_direct(
@@ -394,7 +383,7 @@ def construct_db_pmc_direct(
     size = r * t
     bases = []
     for idx, a in enumerate(code.arrays):
-        prefix = _row_prefix(a.packed(), r, t)
+        prefix = _prefix_xor(a.packed(), r, t)
         odd = prefix >> (size - t)
         if odd:
             j = (odd & -odd).bit_length() - 1

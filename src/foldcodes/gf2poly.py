@@ -31,6 +31,11 @@ _MAX_PARSE_DEGREE = 32
 _MAX_DEGREE = 24
 
 
+# The digits of a hex mask; int() would also read "_" and any Unicode
+# decimal digit, as it would in an exponent.
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
 def _capped(d: int) -> int:
     if d > _MAX_PARSE_DEGREE:
         raise ValueError(f"degree {d} is above the cap of {_MAX_PARSE_DEGREE}")
@@ -67,13 +72,15 @@ class Gf2Poly:
     def parse(cls, text: str) -> "Gf2Poly":
         """Parse a hex mask ("0x13") or a human form ("x^4+x+1").
 
-        Whitespace is ignored anywhere in the string.  A degree above 32
-        is refused.
+        Whitespace is ignored anywhere in the string, and digits are
+        ASCII only.  A degree above 32 is refused.
         """
         s = "".join(text.split()).lower()
         if not s:
             raise ValueError("empty polynomial string")
         if s.startswith("0x"):
+            if not s[2:] or not _HEX_DIGITS.issuperset(s[2:]):
+                raise ValueError(f"cannot parse hex mask {s!r}")
             # a hex mask is no longer than its text, so it is formed first
             mask = int(s, 16)
             _capped(mask.bit_length() - 1)
@@ -82,12 +89,13 @@ class Gf2Poly:
             return cls(0)
         mask = 0
         for term in s.split("+"):
+            exp = term[2:]
             if term == "1":
                 mask ^= 1
             elif term == "x":
                 mask ^= 2
-            elif term.startswith("x^") and term[2:].isdigit():
-                mask ^= 1 << _capped(int(term[2:]))
+            elif term.startswith("x^") and exp.isascii() and exp.isdigit():
+                mask ^= 1 << _capped(int(exp))
             else:
                 raise ValueError(f"cannot parse polynomial term {term!r}")
         return cls(mask)

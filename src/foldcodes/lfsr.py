@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 
 from .arraycode import (
-    _flags_cover, _is_binary, _minimal_period, _repeat, _turn, _window_keys
+    _flags_cover, _is_binary, _minimal_period, _prefix_xor, _repeat, _turn,
+    _window_keys,
 )
 from .gf2poly import (
     _MAX_DEGREE, Gf2Poly, _irreducible_order, _m_bits, is_irreducible
@@ -342,11 +343,9 @@ def d_inverse(s: CyclicSequence, choice: int) -> CyclicSequence:
     if s.weight % 2:
         v, L = v | v << L, 2 * L
     # position i + 1 of the preimage is choice plus the prefix sum
-    # s_0 + ... + s_i, and log2(L) doubling steps give every prefix sum
-    for j in range((L - 1).bit_length()):
-        v ^= v << (1 << j)
+    # s_0 + ... + s_i
     full = (1 << L) - 1
-    v = (v << 1) & full
+    v = (_prefix_xor(v, L, 1) << 1) & full
     return CyclicSequence._reduced(v ^ full if choice else v, L)
 
 

@@ -22,10 +22,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import foldcodes.arraycode as arraycode
+import foldcodes.lfsr as lfsr
 from foldcodes.arraycode import (
+    KINDS,
     ArrayCode,
     CyclicArray,
     VerifyReport,
+    _MAX_WINDOW,
     _ideal,
     _packed_shifts,
     _window_keys,
@@ -45,7 +48,15 @@ from foldcodes.constructions import (
 )
 from foldcodes.folding import fold
 from foldcodes.gf2poly import Gf2Poly, enumerate_irreducible, exponent, mul
-from foldcodes.lfsr import generate_cycles, m_sequence
+from foldcodes.lfsr import (
+    CyclicSequence,
+    PerfectFactor,
+    SequenceFamily,
+    generate_cycles,
+    m_sequence,
+    verify_perfect_factor,
+    verify_zero_factor,
+)
 
 FOLDPR = CyclicArray(["01010", "10001", "11011"])
 FOLDPM_MID = CyclicArray(["11110", "10010", "01100"])
@@ -597,11 +608,12 @@ def test_canonical2d_matches_the_literal_least_rotation_on_seeded_cases():
     st.integers(1, 9), st.integers(1, 17), st.randoms(use_true_random=False)
 )
 def test_canonical2d_reads_each_shape_from_its_own_masks(r, t, rng):
-    """canonical2d keeps its turn masks per shape. Shapes come in turn:
-    r x t, then t x r, then every other shape of r*t cells, then r x t
-    again, each against the literal least rotation, so masks kept under
-    a key that two of these shapes share turn some row wrongly. Half the
-    arrays turn one word in every row, so every row is a candidate."""
+    """canonical2d builds its turn masks from each array's own shape.
+    Shapes come in turn: r x t, then t x r, then every other shape of
+    r*t cells, then r x t again, each against the literal least
+    rotation, so masks carried over from another shape of as many cells
+    turn some row wrongly. Half the arrays turn one word in every row,
+    so every row is a candidate."""
     size = r * t
     others = [(d, size // d) for d in range(1, size + 1) if size % d == 0]
     shapes = [(r, t), (t, r)] + others + [(r, t)]
@@ -1311,17 +1323,23 @@ def window_keys(arrays, r, t, n, m):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_window_keys_match_window_key_in_anchor_order(data):
+    """Keys of up to 32 cells match the oracle; wider ones are refused."""
     r, t = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
     n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 9))
     row = st.integers(0, (1 << t) - 1)
     masks = data.draw(st.lists(row, min_size=r, max_size=r))
     a = CyclicArray.from_rowmasks(masks, t)
+    if n * m > _MAX_WINDOW:
+        with pytest.raises(ValueError, match="exceeds 32"):
+            window_keys([a], r, t, n, m)
+        return
     assert window_keys([a], r, t, n, m) == [
         window_key_oracle(a, i, j, n, m) for i in range(r) for j in range(t)
     ]
 
 
-# (n, m) with n*m at either side of the 1-, 2-, 4- and 8-byte key slots
+# (n, m) with n*m at either side of the 1-, 2- and 4-byte key slots and
+# of the 32-cell cap
 _SLOT_EDGES = (
     (2, 4), (1, 9), (3, 3), (4, 4), (1, 17), (2, 8), (4, 8), (1, 32),
     (3, 11), (8, 8), (5, 13), (8, 9),
@@ -1338,8 +1356,8 @@ _SLOT_EDGES = (
 def test_window_keys_across_batches_match_the_oracle(monkeypatch, batch, data):
     """Batches of several arrays, bands of rows and segments of a row give
     the keys in anchor order, array by array: windows that wrap (n > r,
-    m > t), keys at the edges of the slot widths and wider than 64 cells,
-    and 1 x L and L x 1 shapes."""
+    m > t), keys at the edges of the slot widths, and 1 x L and L x 1
+    shapes. Keys wider than 32 cells are refused."""
     monkeypatch.setattr(arraycode, "_BATCH_CELLS", batch)
     shape = data.draw(
         st.one_of(
@@ -1363,12 +1381,40 @@ def test_window_keys_across_batches_match_the_oracle(monkeypatch, batch, data):
     cells = st.integers(0, (1 << (r * t)) - 1)
     k = data.draw(st.integers(1, 4))
     arrays = [CyclicArray._wrap(data.draw(cells), r, t) for _ in range(k)]
+    if n * m > _MAX_WINDOW:
+        with pytest.raises(ValueError, match="exceeds 32"):
+            window_keys(arrays, r, t, n, m)
+        return
     assert window_keys(arrays, r, t, n, m) == [
         window_key_oracle(a, i, j, n, m)
         for a in arrays
         for i in range(r)
         for j in range(t)
     ]
+
+
+def test_no_entry_point_asks_for_a_key_wider_than_the_cap():
+    """_window_keys refuses keys of more than 32 cells, and no caller
+    asks for one: verify refuses n*m = 33 before it builds any key, and
+    a zero or perfect factor of span 33 fails its count, which needs
+    2^33 cells in all, before any window is read."""
+    with mock.patch.object(
+        arraycode, "_window_keys", wraps=arraycode._window_keys
+    ) as keys, mock.patch.object(
+        lfsr, "_window_keys", wraps=lfsr._window_keys
+    ) as seq_keys:
+        for kind in KINDS:
+            for n, m in ((3, 11), (1, 33), (33, 1)):
+                code = ArrayCode(kind, 3, 7, n, m, PRAC37)
+                rep = verify(code)
+                assert not rep.counting_ok and not rep.coverage_ok
+                assert "window size out of supported range" in rep.notes
+        s = CyclicSequence("0010111")
+        assert not verify_zero_factor(SequenceFamily(33, (s,), len(s)))
+        assert not verify_perfect_factor(PerfectFactor(33, 5, (s,), (0,)))
+        pair = PerfectFactor(33, 32, (s, s), (0, 0))
+        assert not verify_perfect_factor(pair)
+    assert keys.call_count == 0 and seq_keys.call_count == 0
 
 
 def test_min_distance_reuses_the_closure_verdict_of_verify(monkeypatch):

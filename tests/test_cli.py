@@ -734,6 +734,12 @@ def test_poly_above_the_degree_cap_is_refused(capsys, poly):
     _one_line_error(capsys, f"bad polynomial {poly!r}", "cap of 32")
 
 
+def test_a_polynomial_of_non_ascii_digits_is_refused(capsys):
+    poly = "x^\u0663+x+1"  # x^3 with an Arabic-Indic three
+    assert run(["poly", "--poly", poly]) == 2
+    _one_line_error(capsys, "cannot parse polynomial term")
+
+
 def test_every_polynomial_flag_is_capped(tmp_path, capsys):
     big = "x^33+x+1"
     doc = tmp_path / "code.json"

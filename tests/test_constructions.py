@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from foldcodes.arraycode import (
     ArrayCode,
     CyclicArray,
+    _prefix_xor,
     canonical2d,
     min_distance,
     shift2d,
@@ -33,7 +34,6 @@ from foldcodes.constructions import (
     construct_db_pmc_direct,
     construct_pmc_odd,
     construct_pmc_sd,
-    _row_prefix,
     construct_prac_fold,
     experiment_exponent_family,
     experiment_product_fold,
@@ -618,16 +618,23 @@ def test_db_direct_names_the_first_odd_column():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 17), st.data())
 def test_row_prefix_bases_match_the_literal_row_sums(r, t, data):
-    """db-direct's base, the row prefix moved up one row, is the literal
-    accumulate(rowmasks[:-1], xor, initial=0), and the prefix's top row
-    is the XOR of every row, for any r (powers of two or not) and t."""
+    """db-direct's base, the row prefix _prefix_xor(value, r, t) moved up
+    one row, is the literal accumulate(rowmasks[:-1], xor, initial=0),
+    and the prefix's top row is the XOR of every row, for any r (powers
+    of two or not) and t. With stride 1, as d_inverse calls it, bit u of
+    the prefix is the literal running XOR of bits 0..u."""
     value = data.draw(st.integers(0, (1 << r * t) - 1))
     a = CyclicArray._wrap(value, r, t)
-    prefix = _row_prefix(value, r, t)
+    prefix = _prefix_xor(value, r, t)
     rows = accumulate(a.rowmasks[:-1], xor, initial=0)
     base = CyclicArray.from_rowmasks(rows, t).packed()
     assert prefix << t & ((1 << r * t) - 1) == base
     assert prefix >> (r - 1) * t == reduce(xor, a.rowmasks)
+    length = data.draw(st.integers(1, 200))
+    bits = data.draw(st.integers(0, (1 << length) - 1))
+    running = accumulate((bits >> u & 1 for u in range(length)), xor)
+    literal = sum(b << u for u, b in enumerate(running))
+    assert _prefix_xor(bits, length, 1) == literal
 
 
 def test_db_direct_oracle_failure_is_flagged(base_8452, monkeypatch):

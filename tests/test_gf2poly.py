@@ -147,6 +147,37 @@ def test_parse_rejects_garbage():
             P(bad)
 
 
+def test_parse_takes_only_ascii_digits():
+    # int() also reads "_" and every Unicode decimal digit
+    for bad, message in [
+        ("x^\u0663+x+1", "cannot parse polynomial term 'x^\u0663'"),
+        ("x^\u00b2+1", "cannot parse polynomial term 'x^\u00b2'"),
+        ("0x\u0661\u0663", "cannot parse hex mask '0x\u0661\u0663'"),
+        ("0x1_3", "cannot parse hex mask '0x1_3'"),
+        ("0x", "cannot parse hex mask '0x'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            P(bad)
+        assert str(exc.value) == message
+
+
+_NON_ASCII_DIGITS = st.characters(
+    categories=("Nd", "No"), exclude_characters="0123456789"
+).filter(str.isdigit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_NON_ASCII_DIGITS, st.text("0123456789", max_size=3), st.data())
+def test_parse_refuses_every_non_ascii_digit(digit, ascii_digits, data):
+    """A non-ASCII digit anywhere among ASCII ones, in an exponent or in
+    a hex mask, is refused with parse's own message."""
+    at = data.draw(st.integers(0, len(ascii_digits)))
+    digits = ascii_digits[:at] + digit + ascii_digits[at:]
+    for text in (f"x^{digits}+1", f"0x{digits}"):
+        with pytest.raises(ValueError, match="^cannot parse "):
+            P(text)
+
+
 def test_parse_caps_the_degree_at_32():
     assert P("x^32+x^7+x^3+x^2+1").degree == 32
     assert P("0x1" + "0" * 8).degree == 32

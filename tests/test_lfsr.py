@@ -704,17 +704,22 @@ def test_minimal_period_matches_divisor_scan(base, copies, i):
 @given(data=st.data())
 def test_window_keys_match_literal_windows(data):
     # the n-windows of a sequence are the 1 x n windows of its 1 x L row,
-    # n up to 16 on rows up to 2^12 cells and n up to 50 on short ones
+    # n up to 16 on rows up to 2^12 cells and n up to 50 on short ones;
+    # windows wider than 32 cells are refused
     L = data.draw(st.integers(1, 1 << data.draw(st.sampled_from([5, 12]))))
     n = data.draw(st.integers(1, 50 if L <= 40 else 16))
     value = data.draw(st.integers(0, (1 << L) - 1))
     seq = CyclicSequence(format(value, f"0{L}b"))
     L, bits = len(seq), seq.bits
+    batches = _window_keys([seq.packed()], 1, L, 1, n)
+    if n > 32:
+        with pytest.raises(ValueError, match="exceeds 32"):
+            list(batches)
+        return
     literal = [
         int("".join(str(bits[(p + j) % L]) for j in range(n)), 2)
         for p in range(L)
     ]
-    batches = _window_keys([seq.packed()], 1, L, 1, n)
     assert list(chain.from_iterable(batches)) == literal
 
 
